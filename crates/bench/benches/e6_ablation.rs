@@ -4,7 +4,6 @@ use std::sync::Arc;
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use hfad_bench::setup::{build_sharded_store, store_churn_op};
-use hfad_core::{Hfad, HfadConfig};
 use hfad_osd::{AllocatorKind, ObjectStore, StoreConfig};
 use hfad_storage::MemDevice;
 use std::time::Duration;
@@ -76,16 +75,14 @@ fn bench(c: &mut Criterion) {
             BenchmarkId::new("extent_size_write", extent_kib),
             &extent_kib,
             |b, &extent_kib| {
-                let fs = Hfad::in_memory(
-                    128 * 1024 * 1024,
-                    HfadConfig {
-                        max_extent_bytes: extent_kib * 1024,
-                        ..HfadConfig::eager()
-                    },
-                )
-                .unwrap();
-                let oid = fs.create(&[]).unwrap();
-                b.iter(|| fs.write(oid, 0, &body).unwrap())
+                let device = Arc::new(MemDevice::with_capacity(128 * 1024 * 1024));
+                let config = StoreConfig {
+                    max_extent_bytes: extent_kib * 1024,
+                    ..Default::default()
+                };
+                let store = ObjectStore::create(device, config).unwrap();
+                let oid = store.create_default(0).unwrap();
+                b.iter(|| store.write(oid, 0, &body).unwrap())
             },
         );
     }

@@ -10,9 +10,10 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use hfad_core::{Hfad, HfadConfig, IndexingMode, Tag, TagValue};
-use hfad_engine::{Engine, EngineConfig, EnginePrefetcher};
+use hfad_core::{Hfad, HfadConfig, Tag, TagValue};
+use hfad_engine::{Engine, EngineConfig, EnginePrefetcher, Priority};
 use hfad_hierfs::HierConfig;
+use hfad_index::{IndexStore, KeyValueIndex};
 
 use hfad_osd::{unix_now, AllocatorKind, ObjectMeta, ObjectStore, StoreConfig};
 use hfad_storage::{BlockDevice, MemDevice};
@@ -45,20 +46,6 @@ fn time<R>(f: impl FnOnce() -> R) -> (R, Duration) {
     let start = Instant::now();
     let r = f();
     (r, start.elapsed())
-}
-
-/// The seed-ablation configuration for experiments that index eagerly:
-/// [`HfadConfig::seed`] (no engine, no write-behind, no caches, no
-/// background checkpointing) with eager indexing so results are queryable
-/// immediately, exactly as [`HfadConfig::eager`] behaved before the
-/// defaults flipped to the full stack. Experiments use this explicitly —
-/// never `default()` — for their baseline rows, so the ablation cannot
-/// drift as the defaults evolve.
-pub fn seed_eager() -> HfadConfig {
-    HfadConfig {
-        indexing: IndexingMode::Eager,
-        ..HfadConfig::seed()
-    }
 }
 
 /// Mean latency of `iters` invocations of `f`.
@@ -134,7 +121,6 @@ pub fn f1_layering(scale: Scale) -> Table {
     });
     let iters = scale.pick(200, 2_000);
     let (hfad, oids) = build_hfad(&items, HfadConfig::eager());
-    let (seed_hfad, seed_oids) = build_hfad(&items, seed_eager());
     let posix = build_posix(&items, HfadConfig::eager());
     let (hier, _) = build_hierfs(&items, HierConfig::default());
 
@@ -147,21 +133,12 @@ pub fn f1_layering(scale: Scale) -> Table {
 
     let probe = &items[n / 2];
     let probe_oid = oids[n / 2];
-    let seed_probe_oid = seed_oids[n / 2];
 
     let native_lookup = mean_latency(iters, || {
         hfad.lookup(&[TagValue::posix(probe.path.clone())]).unwrap();
     });
     let native_read = mean_latency(iters, || {
         hfad.read(probe_oid, 0, 4096).unwrap();
-    });
-    let seed_lookup = mean_latency(iters, || {
-        seed_hfad
-            .lookup(&[TagValue::posix(probe.path.clone())])
-            .unwrap();
-    });
-    let seed_read = mean_latency(iters, || {
-        seed_hfad.read(seed_probe_oid, 0, 4096).unwrap();
     });
     let posix_read = mean_latency(iters, || {
         posix.read(&probe.path, 0, 4096).unwrap();
@@ -180,16 +157,6 @@ pub fn f1_layering(scale: Scale) -> Table {
         us(native_read),
     ]);
     table.push_row(vec![
-        "hfad-native (seed ablation)".into(),
-        "lookup(POSIX/path)".into(),
-        us(seed_lookup),
-    ]);
-    table.push_row(vec![
-        "hfad-native (seed ablation)".into(),
-        "read 4 KiB by oid".into(),
-        us(seed_read),
-    ]);
-    table.push_row(vec![
         "posix-veneer".into(),
         "open+read 4 KiB by path".into(),
         us(posix_read),
@@ -199,11 +166,6 @@ pub fn f1_layering(scale: Scale) -> Table {
         "open+read 4 KiB by path".into(),
         us(hier_read),
     ]);
-    table.push_derived(
-        "default_vs_seed_lookup_speedup",
-        seed_lookup.as_secs_f64() / native_lookup.as_secs_f64(),
-        "x",
-    );
     table.push_derived(
         "veneer_vs_hierfs_read_speedup",
         hier_read.as_secs_f64() / posix_read.as_secs_f64(),
@@ -787,25 +749,25 @@ pub fn e6_ablation(scale: Scale) -> Table {
 
     // Extent size sweep.
     for extent_kib in [16u64, 64, 256, 1024] {
-        let fs = Hfad::in_memory(
-            crate::setup::DEFAULT_CAPACITY,
-            HfadConfig {
-                max_extent_bytes: extent_kib * 1024,
-                ..HfadConfig::eager()
-            },
-        )
-        .unwrap();
+        let device = Arc::new(MemDevice::with_capacity(crate::setup::DEFAULT_CAPACITY));
+        let config = StoreConfig {
+            max_extent_bytes: extent_kib * 1024,
+            ..Default::default()
+        };
+        let store = ObjectStore::create(device, config).unwrap();
         let (_, elapsed) = time(|| {
             for _ in 0..objects.min(500) {
-                let oid = fs.create(&[]).unwrap();
-                fs.write(oid, 0, &body).unwrap();
+                let oid = store.create_default(0).unwrap();
+                store.write(oid, 0, &body).unwrap();
             }
         });
         let mb = (objects.min(500) * object_size) as f64 / (1024.0 * 1024.0);
-        let oid = fs.create(&[]).unwrap();
-        fs.write(oid, 0, &body).unwrap();
+        let oid = store.create_default(0).unwrap();
+        store.write(oid, 0, &body).unwrap();
         let insert_lat = mean_latency(10, || {
-            fs.insert(oid, (object_size / 2) as u64, b"splice").unwrap();
+            store
+                .insert(oid, (object_size / 2) as u64, b"splice")
+                .unwrap();
         });
         table.push_row(vec![
             "max extent".into(),
@@ -849,19 +811,22 @@ pub fn e6_ablation(scale: Scale) -> Table {
         ]);
     }
 
-    // Index shards.
+    // Index shards: tagged creates against a key/value index built with
+    // `shards` shards over the store's own tree context.
     for shards in [1usize, 4, 16] {
-        let fs = Hfad::in_memory(
-            crate::setup::DEFAULT_CAPACITY,
-            HfadConfig {
-                index_shards: shards,
-                ..HfadConfig::eager()
-            },
+        let device = Arc::new(MemDevice::with_capacity(crate::setup::DEFAULT_CAPACITY));
+        let store = ObjectStore::create(device, StoreConfig::default()).unwrap();
+        let index = KeyValueIndex::new(
+            store.context().clone(),
+            "keyvalue",
+            Some(vec![Tag::Udef]),
+            shards,
         )
         .unwrap();
         let (_, elapsed) = time(|| {
             for i in 0..objects {
-                fs.create(&[TagValue::udef(format!("tag-{i}"))]).unwrap();
+                let oid = store.create_default(0).unwrap();
+                index.insert(&Tag::Udef, &format!("tag-{i}"), oid).unwrap();
             }
         });
         table.push_row(vec![
@@ -1007,7 +972,7 @@ pub const E8_FLUSH_DELAY: Duration = Duration::from_micros(300);
 /// device pays [`E8_FLUSH_DELAY`] per sync, wrapped by a [`hfad_osd::TxnStore`]
 /// with the given group-commit policy.
 pub fn e8_txn_store(config: hfad_storage::GroupCommitConfig) -> Arc<hfad_osd::TxnStore> {
-    let device = Arc::new(hfad_storage::FlushDelayDevice::new(
+    let device = Arc::new(hfad_storage::FaultDevice::flush_delay(
         MemDevice::with_capacity(64 * 1024 * 1024),
         E8_FLUSH_DELAY,
     ));
@@ -1347,7 +1312,7 @@ fn e10_fulltext(seed_docs: usize) -> Arc<hfad_index::FullTextIndex> {
 /// Ingests `docs` documents while a foreground thread queries the index
 /// continuously. Eager mode indexes inline on the ingest path; engine
 /// mode enqueues through a [`hfad_index::LazyIndexer`] riding the
-/// engine's Index class ([`hfad_index::BackgroundExecutor`]). Returns
+/// engine's Index class ([`Engine::executor`]). Returns
 /// `(ingest elapsed, queries served, mean query latency, drain time)` —
 /// drain is how long the background backlog took to finish after the
 /// ingest loop returned (zero for eager).
@@ -1359,10 +1324,7 @@ pub fn e10_query_during_ingest(
     let index = e10_fulltext(seed_docs);
     let engine = engine_on.then(|| Engine::new(Arc::new(MemDevice::new(64, 512))));
     let indexer = engine.as_ref().map(|e| {
-        hfad_index::LazyIndexer::with_executor(
-            Arc::clone(&index),
-            Arc::clone(e) as Arc<dyn hfad_index::BackgroundExecutor>,
-        )
+        hfad_index::LazyIndexer::with_executor(Arc::clone(&index), e.executor(Priority::Index))
     });
 
     let stop = Arc::new(AtomicBool::new(false));
@@ -1518,7 +1480,7 @@ pub fn e11_sustained_run(
     watermark_pct: Option<u8>,
     windows: usize,
 ) -> E11Run {
-    let device = Arc::new(hfad_storage::FlushDelayDevice::new(
+    let device = Arc::new(hfad_storage::FaultDevice::flush_delay(
         MemDevice::with_capacity(64 * 1024 * 1024),
         E8_FLUSH_DELAY,
     ));
@@ -2192,7 +2154,7 @@ mod tests {
         let engine = Engine::new(Arc::new(MemDevice::new(64, 512)));
         let lazy = hfad_index::LazyIndexer::with_executor(
             Arc::clone(&lazy_index),
-            engine as Arc<dyn hfad_index::BackgroundExecutor>,
+            engine.executor(Priority::Index),
         );
         for i in 0..docs {
             lazy.enqueue(hfad_osd::ObjectId(i as u64), e10_doc(i))

@@ -7,7 +7,6 @@
 
 use hfad_osd::ObjectId;
 
-use crate::config::IndexingMode;
 use crate::error::Result;
 use crate::fs::Hfad;
 
@@ -62,16 +61,10 @@ impl Hfad {
     /// via the background indexer depending on the configured mode.
     pub fn index_content(&self, oid: ObjectId, content: &[u8]) -> Result<()> {
         let text = String::from_utf8_lossy(content).into_owned();
-        match self.config.indexing {
-            IndexingMode::Eager => {
+        match &self.lazy {
+            Some(lazy) => lazy.enqueue(oid, text)?,
+            None => {
                 self.fulltext.index_document(oid, &text)?;
-            }
-            IndexingMode::Lazy => {
-                if let Some(lazy) = &self.lazy {
-                    lazy.enqueue(oid, text)?;
-                } else {
-                    self.fulltext.index_document(oid, &text)?;
-                }
             }
         }
         Ok(())

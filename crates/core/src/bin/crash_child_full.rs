@@ -6,9 +6,7 @@
 //! commit workload through the **full default stack** — `Hfad::open_file`
 //! with the engine, both cache tiers and the watermark checkpointer live
 //! — so SIGKILLs land while engine workers, engine-scheduled checkpoint
-//! drains and cache fills are all in flight. The configuration is spelled
-//! out explicitly (not `HfadConfig::default()`) so the CI leg that runs
-//! with `HFAD_DEFAULT_CONFIG=seed` still tortures the full stack here.
+//! drains and cache fills are all in flight.
 //!
 //! `workload <store> <seed> <oid...>`: one commit-loop thread per oid,
 //! each bumping an 8-byte little-endian counter at offset 0 and writing
@@ -45,22 +43,15 @@ pub fn record(seed: u64, oid: u64, k: u64) -> [u8; REC] {
     out
 }
 
-/// The full-stack configuration the harness tortures: engine on, both
-/// cache tiers, watermark checkpointing, write-behind requested (inert on
-/// a persistent store — its cache retains dirty pages for doublewrite
-/// checkpoints), and a deliberately tiny journal so checkpoints are
-/// constant, not rare. Spelled out relative to `seed()` so the
-/// `HFAD_DEFAULT_CONFIG=seed` CI leg cannot water it down.
+/// The configuration the harness tortures: the default stack (engine,
+/// both cache tiers, watermark checkpointing) with a smaller cache and a
+/// deliberately tiny journal so checkpoints are constant, not rare.
 pub fn full_stack_config() -> HfadConfig {
     HfadConfig {
         journal_blocks: 16,
-        engine: true,
-        write_behind: true,
         cache_blocks: 1024,
-        node_cache_pages: 256,
-        checkpoint_watermark_pct: 50,
         indexing: IndexingMode::Eager,
-        ..HfadConfig::seed()
+        ..HfadConfig::default()
     }
 }
 

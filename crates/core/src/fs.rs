@@ -21,7 +21,7 @@ use hfad_storage::{
     Allocator, BlockDevice, BuddyAllocator, GroupCommitStats, Health, HealthState, MemDevice,
 };
 
-use crate::config::{HfadConfig, IndexingMode};
+use crate::config::{HfadConfig, IndexingMode, INDEX_SHARDS};
 use crate::error::{HfadError, Result};
 use crate::refine::SearchCursor;
 
@@ -38,8 +38,8 @@ pub struct HfadStats {
     pub fulltext_documents: u64,
     /// Backlog of the lazy indexer (0 when eager or idle).
     pub lazy_backlog: u64,
-    /// Async I/O engine counters; `None` when the engine is off.
-    pub engine: Option<EngineStats>,
+    /// Async I/O engine counters.
+    pub engine: EngineStats,
     /// Journal checkpoint / commit-stall counters; `None` until a
     /// transactional store has been opened (see
     /// [`txn_store`](Hfad::txn_store)).
@@ -59,11 +59,11 @@ pub struct Hfad {
     pub(crate) store: Arc<ObjectStore>,
     pub(crate) registry: IndexRegistry,
     pub(crate) fulltext: Arc<FullTextIndex>,
-    /// Background journal reclaim, started with the transactional store
-    /// when `checkpoint_watermark_pct > 0`. Declared before `lazy`,
-    /// `txn` and `engine` so drop stops the monitor first.
+    /// Background journal reclaim, started with the transactional store.
+    /// Declared before `lazy`, `txn` and `engine` so drop stops the
+    /// monitor first.
     pub(crate) checkpointer: parking_lot::Mutex<Option<Checkpointer>>,
-    /// Dirty-page trickle flusher (engine + cache + `write_behind` only).
+    /// Dirty-page trickle flusher (in-memory cached stores only).
     /// Dropped before the engine it submits to.
     pub(crate) write_behind: Option<WriteBehind>,
     pub(crate) lazy: Option<LazyIndexer>,
@@ -78,24 +78,22 @@ pub struct Hfad {
     /// non-transactional write paths gate on it (see
     /// [`check_writable`](Self::check_writable)).
     pub(crate) health: Arc<HealthState>,
-    /// The async I/O engine, when [`HfadConfig::engine`] is on. Every
-    /// background service above submits into it; the explicit [`Drop`]
-    /// impl stops them all first, then calls [`Engine::shutdown`] so the
-    /// workers join even when an outliving store handle still holds the
-    /// engine through the cache's prefetch sink.
-    pub(crate) engine: Option<Arc<Engine>>,
+    /// The async I/O engine. Every background service above submits
+    /// into it; the explicit [`Drop`] impl stops them all first, then
+    /// calls [`Engine::shutdown`] so the workers join even when an
+    /// outliving store handle still holds the engine through the cache's
+    /// prefetch sink.
+    pub(crate) engine: Arc<Engine>,
 }
 
 impl Hfad {
     /// Creates (formats) an hFAD file system on `device`.
     ///
-    /// With [`HfadConfig::engine`] on, the async I/O engine is started
-    /// over the **raw** device (beneath the block cache, so cache fills
-    /// and write-backs scheduled through it hit real storage), and every
-    /// background service is routed through its priority classes:
-    /// read-ahead when a cache is configured, the dirty-page flusher when
-    /// [`HfadConfig::write_behind`] is also set, and lazy indexing in
-    /// place of the ad-hoc worker threads.
+    /// The async I/O engine is started over the **raw** device (beneath
+    /// the block cache, so cache fills and write-backs scheduled through
+    /// it hit real storage), and every background service is routed
+    /// through its priority classes: read-ahead and the dirty-page
+    /// flusher when a cache is configured, and lazy indexing.
     pub fn on_device(device: Arc<dyn BlockDevice>, config: HfadConfig) -> Result<Self> {
         let store = Arc::new(ObjectStore::create(device, config.store_config())?);
         Self::assemble(store, config, None)
@@ -157,8 +155,7 @@ impl Hfad {
     /// must never write to the store file, and every one of those
     /// services exists to produce or schedule writes. The returned
     /// handle is the bare [`ObjectStore`]; reads go straight through its
-    /// (clean) cache. Config knobs other than the cache sizings are
-    /// ignored.
+    /// (clean) cache. Only the config's cache sizing is used.
     ///
     /// A store with pending recovery work (a crashed writer left a
     /// staged checkpoint batch or unreplayed journal commits) is refused
@@ -188,42 +185,33 @@ impl Hfad {
             // follows the same budget as group commit and the engine.
             cache.set_read_retry(policy);
         }
-        let engine = config.engine.then(|| {
-            let raw: Arc<dyn BlockDevice> = match store.block_cache() {
-                Some(cache) => Arc::clone(cache.inner()),
-                None => Arc::clone(&store.context().device),
-            };
-            let mut engine_config = EngineConfig::default();
-            if config.engine_workers > 0 {
-                engine_config.workers = config.engine_workers;
-            }
-            if let Some(policy) = config.retry_policy() {
-                engine_config.retry = [policy; 4];
-            }
-            Engine::with_config(raw, engine_config)
-        });
-        let write_behind = match (&engine, store.block_cache()) {
-            (Some(engine), Some(cache)) => {
-                // Sequential-run detection in the cache now feeds
-                // ReadAhead-class prefetch jobs.
-                EnginePrefetcher::attach(Arc::clone(engine), cache, 32, 2);
-                // No trickle flusher on a persistent store: its cache
-                // runs retain-dirty, where home pages are written only by
-                // doublewrite-protected checkpoint installs. Write-behind
-                // would find nothing flushable and only spin, and any
-                // page it *could* push would bypass the torn-page
-                // protection the checkpoint path provides.
-                let persistent = store.superblock().is_persistent();
-                (config.write_behind && !persistent).then(|| {
-                    WriteBehind::start(
-                        Arc::clone(engine),
-                        Arc::clone(cache),
-                        WriteBehindConfig::default(),
-                    )
-                })
-            }
-            _ => None,
+        let raw: Arc<dyn BlockDevice> = match store.block_cache() {
+            Some(cache) => Arc::clone(cache.inner()),
+            None => Arc::clone(&store.context().device),
         };
+        let mut engine_config = EngineConfig::default();
+        if let Some(policy) = config.retry_policy() {
+            engine_config.retry = [policy; 4];
+        }
+        let engine = Engine::with_config(raw, engine_config);
+        let write_behind = store.block_cache().and_then(|cache| {
+            // Sequential-run detection in the cache feeds ReadAhead-class
+            // prefetch jobs.
+            EnginePrefetcher::attach(Arc::clone(&engine), cache, 32, 2);
+            // No trickle flusher on a persistent store: its cache runs
+            // retain-dirty, where home pages are written only by
+            // doublewrite-protected checkpoint installs. Write-behind
+            // would find nothing flushable and only spin, and any page it
+            // *could* push would bypass the torn-page protection the
+            // checkpoint path provides.
+            (!store.superblock().is_persistent()).then(|| {
+                WriteBehind::start(
+                    Arc::clone(&engine),
+                    Arc::clone(cache),
+                    WriteBehindConfig::default(),
+                )
+            })
+        });
         // Indices are volatile: `assemble` rebuilds them empty on every
         // open. On a persistent store they therefore must not allocate
         // from the durable data area — every block a B-tree takes there
@@ -244,7 +232,8 @@ impl Hfad {
             ));
             let allocator: Arc<dyn Allocator> =
                 Arc::new(BuddyAllocator::new(0, sb.data_blocks.max(1)));
-            TreeContext::new(arena, allocator).with_node_cache(config.node_cache_pages)
+            TreeContext::new(arena, allocator)
+                .with_node_cache(config.store_config().node_cache_pages)
         } else {
             store.context().clone()
         };
@@ -253,28 +242,16 @@ impl Hfad {
             ctx.clone(),
             "keyvalue",
             Some(vec![Tag::Posix, Tag::User, Tag::Udef, Tag::App]),
-            config.index_shards,
+            INDEX_SHARDS,
         )?);
-        let fulltext = Arc::new(FullTextIndex::new(ctx, config.index_shards)?);
+        let fulltext = Arc::new(FullTextIndex::new(ctx, INDEX_SHARDS)?);
         registry.register(Arc::clone(&keyvalue) as Arc<dyn IndexStore>);
         registry.register(Arc::clone(&fulltext) as Arc<dyn IndexStore>);
-        let lazy = match config.indexing {
-            IndexingMode::Lazy => Some(match &engine {
-                // The engine is the executor: index maintenance rides the
-                // Index class with bounded backpressure.
-                Some(engine) => LazyIndexer::with_executor(
-                    Arc::clone(&fulltext),
-                    Arc::clone(engine) as Arc<dyn hfad_index::BackgroundExecutor>,
-                ),
-                None => LazyIndexer::new(Arc::clone(&fulltext), config.lazy_workers),
-            }),
-            IndexingMode::Eager => None,
-        };
-        // The transactional store auto-scales its backpressure patience
-        // from measured flush cost; an explicit config value overrides.
-        if let (Some(ts), Some(patience)) = (&txn, config.backpressure_patience()) {
-            ts.set_backpressure_patience(patience);
-        }
+        // Index maintenance rides the engine's Index class with bounded
+        // backpressure.
+        let lazy = (config.indexing == IndexingMode::Lazy).then(|| {
+            LazyIndexer::with_executor(Arc::clone(&fulltext), engine.executor(Priority::Index))
+        });
         // Persistent opens built their transactional writer first; adopt
         // its health machine so the whole stack shares one. Otherwise
         // start healthy and hand the machine to the writer when
@@ -297,15 +274,21 @@ impl Hfad {
         };
         // With a pre-populated transactional slot, txn_store() will never
         // build the wrapper itself — so start the background checkpointer
-        // here when one is configured.
-        if let (Some(ts), Some(checkpoint_config)) = (txn, config.checkpoint_config()) {
-            let executor = fs
-                .engine
-                .as_ref()
-                .map(|engine| engine.executor(Priority::WriteBehind));
-            *fs.checkpointer.lock() = Some(Checkpointer::start(ts, executor, checkpoint_config));
+        // here.
+        if let Some(ts) = txn {
+            fs.start_checkpointer(ts);
         }
         Ok(fs)
+    }
+
+    /// Starts the watermark checkpointer over `ts`, its drains scheduled
+    /// through the engine's `WriteBehind` class.
+    fn start_checkpointer(&self, ts: Arc<hfad_osd::TxnStore>) {
+        *self.checkpointer.lock() = Some(Checkpointer::start(
+            ts,
+            Some(self.engine.executor(Priority::WriteBehind)),
+            self.config.checkpoint_config(),
+        ));
     }
 
     /// Creates an in-memory hFAD instance with `capacity_bytes` of backing
@@ -326,27 +309,24 @@ impl Hfad {
         &self.store
     }
 
-    /// The transactional wrapper over the object store, configured by
-    /// this instance's `journal_batch` / `journal_batch_wait_us` knobs.
+    /// The transactional wrapper over the object store.
     ///
     /// Requires the instance to have been created with
-    /// `journal_blocks > 0` so a journal region exists. Commits issued
-    /// through the returned [`hfad_osd::TxnStore`] ride the group-commit
-    /// pipeline: concurrent transactions share one journal append and one
-    /// device flush per batch (`journal_batch == 0` restores the
-    /// sync-per-commit baseline).
+    /// `journal_blocks > 0` (or file-backed) so a journal region exists.
+    /// Commits issued through the returned [`hfad_osd::TxnStore`] ride
+    /// the group-commit pipeline: concurrent transactions share one
+    /// journal append and one device flush per batch.
     ///
     /// The wrapper is built on first use and cached: a journal region
     /// admits exactly one writer, so every call returns the **same**
     /// shared instance (two independent `TxnStore`s over one region
     /// would overwrite each other's acknowledged frames).
     ///
-    /// With [`HfadConfig::checkpoint_watermark_pct`] `> 0`, first use
-    /// also starts the background [`Checkpointer`]: journal reclaim then
-    /// runs off size/age watermarks, a full ring becomes brief
+    /// First use also starts the background [`Checkpointer`]: journal
+    /// reclaim runs off size/age watermarks, a full ring becomes brief
     /// backpressure on committers instead of a stop-the-world stall, and
-    /// — when the engine is on — the checkpoint drain is scheduled
-    /// through its `WriteBehind` class alongside dirty-page writeback.
+    /// the checkpoint drain is scheduled through the engine's
+    /// `WriteBehind` class alongside dirty-page writeback.
     pub fn txn_store(&self) -> Result<Arc<hfad_osd::TxnStore>> {
         let mut slot = self.txn.lock();
         if let Some(ts) = slot.as_ref() {
@@ -357,20 +337,7 @@ impl Hfad {
             self.config.group_commit_config(),
             Arc::clone(&self.health),
         )?);
-        if let Some(patience) = self.config.backpressure_patience() {
-            ts.set_backpressure_patience(patience);
-        }
-        if let Some(checkpoint_config) = self.config.checkpoint_config() {
-            let executor = self
-                .engine
-                .as_ref()
-                .map(|engine| engine.executor(Priority::WriteBehind));
-            *self.checkpointer.lock() = Some(Checkpointer::start(
-                Arc::clone(&ts),
-                executor,
-                checkpoint_config,
-            ));
-        }
+        self.start_checkpointer(Arc::clone(&ts));
         *slot = Some(Arc::clone(&ts));
         Ok(ts)
     }
@@ -395,13 +362,13 @@ impl Hfad {
         Ok(self.health.check_writable()?)
     }
 
-    /// The async I/O engine, when [`HfadConfig::engine`] is on.
-    pub fn engine(&self) -> Option<&Arc<Engine>> {
-        self.engine.as_ref()
+    /// The async I/O engine.
+    pub fn engine(&self) -> &Arc<Engine> {
+        &self.engine
     }
 
-    /// Whether the dirty-page trickle flusher is running (requires the
-    /// engine, a block cache and [`HfadConfig::write_behind`]).
+    /// Whether the dirty-page trickle flusher is running (an in-memory
+    /// store with a block cache).
     pub fn write_behind_active(&self) -> bool {
         self.write_behind.is_some()
     }
@@ -433,7 +400,7 @@ impl Hfad {
             indices: self.registry.stats(),
             fulltext_documents: self.fulltext.documents_indexed(),
             lazy_backlog: self.lazy.as_ref().map(|l| l.backlog()).unwrap_or(0),
-            engine: self.engine.as_ref().map(|e| e.stats()),
+            engine: self.engine.stats(),
             checkpoint: txn.as_ref().map(|ts| ts.checkpoint_stats()),
             group_commit: txn.as_ref().map(|ts| ts.group_commit_stats()),
             health: self.health.health(),
@@ -525,9 +492,7 @@ impl Drop for Hfad {
         // Dropping the last txn handle runs the persistent store's final
         // checkpoint (synchronous, engine-free), making the close clean.
         self.txn.lock().take();
-        if let Some(engine) = self.engine.take() {
-            engine.shutdown();
-        }
+        self.engine.shutdown();
     }
 }
 
@@ -546,11 +511,7 @@ mod tests {
 
     #[test]
     fn default_configuration_runs_the_full_stack_in_memory() {
-        if crate::config::default_is_seed() {
-            return; // the CI ablation leg pins default() to seed()
-        }
         let fs = Hfad::in_memory(16 * 1024 * 1024, HfadConfig::default()).unwrap();
-        assert!(fs.engine().is_some(), "engine is the default I/O path");
         assert!(
             fs.write_behind_active(),
             "in-memory defaults trickle-flush the cache"
@@ -564,8 +525,6 @@ mod tests {
         let oid = fs.create(&[]).unwrap();
         fs.write(oid, 0, b"defaults-on").unwrap();
         assert_eq!(fs.read(oid, 0, 11).unwrap(), b"defaults-on".to_vec());
-        let stats = fs.stats();
-        assert!(stats.engine.is_some());
     }
 
     #[test]
@@ -578,13 +537,11 @@ mod tests {
             16 * 1024 * 1024,
             HfadConfig {
                 cache_blocks: 1024,
-                engine: true,
-                write_behind: true,
-                ..HfadConfig::seed()
+                ..Default::default()
             },
         )
         .unwrap();
-        let engine = Arc::clone(fs.engine().expect("engine on"));
+        let engine = Arc::clone(fs.engine());
         let store = Arc::clone(fs.store()); // outlives the instance
         drop(fs);
         let refused = engine
@@ -620,7 +577,6 @@ mod tests {
             16 * 1024 * 1024,
             HfadConfig {
                 journal_blocks: 256,
-                journal_batch: 8,
                 ..HfadConfig::eager()
             },
         )
@@ -636,7 +592,7 @@ mod tests {
         assert_eq!(fs.read(oid, 0, 7).unwrap(), b"durable".to_vec());
         let stats = ts.group_commit_stats();
         assert_eq!(stats.commits, 1);
-        assert!(stats.max_batch <= 8);
+        assert!(stats.max_batch <= hfad_storage::GroupCommitConfig::default().max_batch as u64);
         // Without a journal region the wrapper must be refused.
         let plain = Hfad::in_memory(4 * 1024 * 1024, HfadConfig::default()).unwrap();
         assert!(plain.txn_store().is_err());
@@ -651,14 +607,10 @@ mod tests {
             16 * 1024 * 1024,
             HfadConfig {
                 cache_blocks: 1024,
-                engine: true,
-                engine_workers: 2,
-                write_behind: true,
                 ..Default::default()
             },
         )
         .unwrap();
-        assert!(fs.engine().is_some());
         assert!(fs.write_behind_active());
         let oid = fs.create(&[]).unwrap();
         fs.write(oid, 0, b"the quick brown fox").unwrap();
@@ -666,24 +618,12 @@ mod tests {
         fs.index_content(oid, b"the quick brown fox").unwrap();
         fs.sync_index();
         let stats = fs.stats();
-        let engine = stats.engine.expect("engine stats must be reported");
         // Lazy indexing rode the engine's Index class.
         assert!(
-            engine.class(hfad_engine::Priority::Index).submitted >= 1,
+            stats.engine.class(hfad_engine::Priority::Index).submitted >= 1,
             "indexing jobs go through the engine"
         );
         assert_eq!(stats.fulltext_documents, 1);
-    }
-
-    #[test]
-    fn seed_configuration_reports_no_engine_or_checkpoint_stats() {
-        let fs = Hfad::in_memory(8 * 1024 * 1024, HfadConfig::seed()).unwrap();
-        assert!(fs.engine().is_none());
-        assert!(!fs.write_behind_active());
-        let stats = fs.stats();
-        assert!(stats.engine.is_none());
-        assert!(stats.checkpoint.is_none());
-        assert!(stats.group_commit.is_none());
     }
 
     #[test]
@@ -691,13 +631,11 @@ mod tests {
         // A 6-block ring (journal_blocks 8 minus 2 header blocks) with
         // the background checkpointer: sustained commits far beyond ring
         // capacity must all succeed, and the one stats() snapshot must
-        // show the whole stack — group commit, checkpoints, engine.
+        // show group commit and checkpoints.
         let fs = Hfad::in_memory(
             16 * 1024 * 1024,
             HfadConfig {
                 journal_blocks: 8,
-                checkpoint_watermark_pct: 50,
-                engine: true,
                 ..HfadConfig::eager()
             },
         )
@@ -717,7 +655,6 @@ mod tests {
             "the ring cannot hold 32 KiB of frames without reclaim"
         );
         assert_eq!(stats.group_commit.expect("txn store opened").commits, 256);
-        assert!(stats.engine.is_some());
     }
 
     #[test]
@@ -780,16 +717,11 @@ mod tests {
         let path = scratch_file("defaults_on_file.hfad");
         let config = HfadConfig {
             journal_blocks: 64,
-            engine: true,
-            write_behind: true,
             cache_blocks: 1024,
-            node_cache_pages: 256,
-            checkpoint_watermark_pct: 50,
-            ..HfadConfig::seed()
+            ..Default::default()
         };
         let oid = {
             let fs = Hfad::create_file(&path, 8 << 20, config).unwrap();
-            assert!(fs.engine().is_some(), "engine runs on file-backed stores");
             assert!(
                 !fs.write_behind_active(),
                 "write-behind must be skipped on a retain-dirty persistent store"
@@ -839,33 +771,34 @@ mod tests {
         drop(reader);
         // A crashed writer leaves recovery work; the reader must refuse
         // with the dedicated NeedsRecovery error, not Corrupt. The
-        // "crashed" instance is deliberately service-free (seed + eager):
-        // a leaked background checkpointer would keep running after the
-        // mem::forget and could recover the store behind the test's back.
+        // "crashed" writer is the bare persistent store, which starts no
+        // background service: a leaked checkpointer would keep running
+        // after the mem::forget and could recover the store behind the
+        // test's back.
         {
-            let crash_config = HfadConfig {
-                journal_blocks: 64,
-                indexing: IndexingMode::Eager,
-                ..HfadConfig::seed()
-            };
-            let fs = Hfad::create_file(&path, 8 << 20, crash_config).unwrap();
-            let ts = fs.txn_store().unwrap();
+            let ts = hfad_osd::persist::create_file(
+                &path,
+                8 << 20,
+                config.store_config(),
+                config.group_commit_config(),
+            )
+            .unwrap();
             let mut txn = ts.begin();
             let oid2 = txn
                 .create(ObjectMeta::new(0, 0, 0o644, hfad_osd::unix_now()))
                 .unwrap();
             txn.write(oid2, 0, b"unrecovered").unwrap();
             txn.commit().unwrap();
-            // The first commit after assemble may trip the dirty-page
-            // threshold checkpoint (index creation dirtied the cache),
-            // leaving nothing to recover; a second commit right after is
-            // guaranteed to sit above the fresh replay floor.
+            // The first commit may trip the dirty-page threshold
+            // checkpoint, leaving nothing to recover; a second commit
+            // right after is guaranteed to sit above the fresh replay
+            // floor.
             let mut txn = ts.begin();
             txn.write(oid2, 0, b"unrecovered-2").unwrap();
             txn.commit().unwrap();
-            // Simulate kill -9: leak the whole instance (no clean-close
+            // Simulate kill -9: leak the writer (no clean-close
             // checkpoint) and sweep the dead holder's lockfiles.
-            std::mem::forget(fs);
+            std::mem::forget(ts);
             let mut lck = path.file_name().unwrap().to_os_string();
             lck.push(".lck");
             std::fs::remove_dir_all(path.with_file_name(lck)).unwrap();

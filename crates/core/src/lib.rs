@@ -57,7 +57,7 @@ pub mod naming;
 pub mod plugin;
 pub mod refine;
 
-pub use config::{default_is_seed, HfadConfig, IndexingMode};
+pub use config::{HfadConfig, IndexingMode, INDEX_SHARDS};
 pub use error::{HfadError, Result};
 pub use fs::{Hfad, HfadStats};
 pub use plugin::AttributeIndex;

@@ -71,21 +71,15 @@ fn trials(default_release: u64, default_debug: u64) -> u64 {
     }
 }
 
-/// The configuration under torture: the full default stack spelled out
-/// explicitly (so the `HFAD_DEFAULT_CONFIG=seed` CI leg still tortures
-/// it), with a retry budget deep enough to statistically outlast the
-/// swept transient rates.
+/// The configuration under torture: the one stack, with a cache a third
+/// of the device, eager indexing, and a retry budget deep enough to
+/// statistically outlast the swept transient rates.
 fn soak_config() -> HfadConfig {
     HfadConfig {
         journal_blocks: 64,
-        engine: true,
-        write_behind: true,
         cache_blocks: 2048,
-        node_cache_pages: 256,
-        checkpoint_watermark_pct: 50,
         indexing: IndexingMode::Eager,
         retry_attempts: 12,
-        ..HfadConfig::seed()
     }
 }
 
@@ -309,7 +303,7 @@ fn chaos_trial(trial: u64) -> SoakTotals {
         "stats must carry health"
     );
     let gc = stats.group_commit.expect("txn store open");
-    let engine_retried = stats.engine.map(|e| e.total_retried()).unwrap_or(0);
+    let engine_retried = stats.engine.total_retried();
     let cache_retried = stats.store.block_cache.map(|c| c.retried).unwrap_or(0);
 
     // Clean drop with the device still failing: services and engine must

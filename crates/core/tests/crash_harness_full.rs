@@ -4,8 +4,8 @@
 //! bare persistent store: a `TxnStore` plus a hand-attached checkpointer.
 //! This harness runs the identical durability contract through the full
 //! default configuration instead — the SIGKILLed child is a
-//! `Hfad::open_file` writer with the async engine, both cache tiers,
-//! write-behind and the watermark checkpointer (scheduled through the
+//! `Hfad::open_file` writer with the async engine, both cache tiers
+//! and the watermark checkpointer (scheduled through the
 //! engine's `WriteBehind` class) all live — so kills land mid-engine-job
 //! and mid-background-checkpoint, not just mid-commit. Recovery in the
 //! parent also runs through the full stack, and each trial's clean close
@@ -90,19 +90,14 @@ fn expected_len(k: u64) -> usize {
 // ---- harness plumbing ---------------------------------------------------
 
 /// The configuration under torture — must stay in lockstep with
-/// `full_stack_config()` in `src/bin/crash_child_full.rs`: the full
-/// default stack spelled out explicitly (so the `HFAD_DEFAULT_CONFIG=seed`
-/// CI leg still tortures it), over a deliberately tiny journal.
+/// `full_stack_config()` in `src/bin/crash_child_full.rs`: the default
+/// stack over a deliberately tiny journal.
 fn full_stack_config() -> HfadConfig {
     HfadConfig {
         journal_blocks: 16,
-        engine: true,
-        write_behind: true,
         cache_blocks: 1024,
-        node_cache_pages: 256,
-        checkpoint_watermark_pct: 50,
         indexing: IndexingMode::Eager,
-        ..HfadConfig::seed()
+        ..HfadConfig::default()
     }
 }
 

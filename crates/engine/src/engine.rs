@@ -4,8 +4,7 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use hfad_index::{BackgroundExecutor, SubmitError};
-use hfad_storage::{BlockDevice, RetryPolicy};
+use hfad_storage::{BackgroundExecutor, BlockDevice, RetryPolicy, SubmitError};
 
 use crate::error::{EngineError, Result};
 use crate::op::{Completion, CompletionResult, CompletionState, IoOp, Priority};
@@ -244,12 +243,11 @@ impl Engine {
 
     /// A [`BackgroundExecutor`] handle that submits jobs at `class`.
     ///
-    /// The engine itself implements [`BackgroundExecutor`] at
-    /// [`Priority::Index`] for lazy indexing; this adapter lets other
-    /// consumers ride a different class — the OSD's journal checkpointer
-    /// drains through [`Priority::WriteBehind`], so checkpoint I/O is
-    /// scheduled (and admission-bounded) exactly like dirty-page
-    /// writeback rather than competing with foreground ops.
+    /// Lazy indexing rides [`Priority::Index`], bounded by that class's
+    /// admission control; the OSD's journal checkpointer drains through
+    /// [`Priority::WriteBehind`], so checkpoint I/O is scheduled (and
+    /// admission-bounded) exactly like dirty-page writeback rather than
+    /// competing with foreground ops.
     pub fn executor(self: &Arc<Engine>, class: Priority) -> Arc<dyn BackgroundExecutor> {
         Arc::new(ClassExecutor {
             engine: Arc::clone(self),
@@ -276,30 +274,6 @@ impl Engine {
 impl Drop for Engine {
     fn drop(&mut self) {
         self.shutdown();
-    }
-}
-
-/// Lazy indexing rides the [`Priority::Index`] class: the engine is the
-/// executor behind [`hfad_index::LazyIndexer::with_executor`], so index
-/// maintenance shares one scheduler with read-ahead and write-behind and
-/// is bounded by the Index class's admission control.
-impl BackgroundExecutor for Engine {
-    fn submit_background(
-        &self,
-        job: Box<dyn FnOnce() + Send>,
-    ) -> std::result::Result<(), SubmitError> {
-        self.submit_job(
-            Priority::Index,
-            Box::new(move || {
-                job();
-                Ok(())
-            }),
-        )
-        .map(|_| ())
-        .map_err(|e| match e {
-            EngineError::QueueFull => SubmitError::Full,
-            _ => SubmitError::Stopped,
-        })
     }
 }
 

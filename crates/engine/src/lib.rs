@@ -18,10 +18,11 @@
 //!   detector to [`Priority::ReadAhead`] prefetch jobs.
 //! * [`WriteBehind`] — watermark-driven dirty-page trickle flusher at
 //!   [`Priority::WriteBehind`].
-//! * Lazy indexing — [`Engine`] implements
-//!   [`hfad_index::BackgroundExecutor`], so a
-//!   [`LazyIndexer`](hfad_index::LazyIndexer) built `with_executor` rides
-//!   the [`Priority::Index`] class with bounded backpressure.
+//! * Background jobs — [`Engine::executor`] hands out a
+//!   [`BackgroundExecutor`](hfad_storage::BackgroundExecutor) pinned to
+//!   one class: lazy indexing rides [`Priority::Index`] and journal
+//!   checkpoints [`Priority::WriteBehind`], each with bounded
+//!   backpressure.
 //!
 //! Experiment E10 (`hfad_bench`) measures the engine against the
 //! synchronous baseline: cold sequential scans with read-ahead and

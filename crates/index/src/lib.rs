@@ -16,7 +16,7 @@
 //!   paper) with a simple tokenizer and conjunctive queries.
 //! * [`query`] — conjunctive queries (the paper's semantics) plus the
 //!   boolean-query extension from §4.
-//! * [`lazy`] — background lazy indexing threads (§3.4).
+//! * [`lazy`] — background lazy indexing on a shared executor (§3.4).
 
 pub mod error;
 pub mod fulltext;
@@ -29,10 +29,7 @@ pub mod tag;
 pub use error::{IndexError, Result};
 pub use fulltext::{tokenize, unique_terms, FullTextIndex};
 pub use keyvalue::{KeyValueIndex, DEFAULT_SHARDS};
-pub use lazy::{
-    BackgroundExecutor, LazyConfig, LazyIndexer, LazyStats, OverflowPolicy, SubmitError,
-    DEFAULT_LAZY_CAPACITY,
-};
+pub use lazy::{LazyIndexer, LazyStats};
 pub use query::Query;
 pub use store::{IndexRegistry, IndexStats, IndexStore};
 pub use tag::{Tag, TagValue};

@@ -1157,7 +1157,7 @@ mod tests {
         // A slow-fsync device (10 ms per flush) must grow patience well
         // beyond the floor, or the stop-the-world fallback fires while
         // the background checkpointer is still mid-drain.
-        let device = Arc::new(hfad_storage::FlushDelayDevice::new(
+        let device = Arc::new(hfad_storage::FaultDevice::flush_delay(
             MemDevice::with_capacity(16 * 1024 * 1024),
             Duration::from_millis(10),
         ));

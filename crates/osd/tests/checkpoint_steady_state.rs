@@ -21,7 +21,7 @@ use std::time::Duration;
 use proptest::prelude::*;
 
 use hfad_osd::{CheckpointConfig, Checkpointer, ObjectStore, StoreConfig, TxnStore};
-use hfad_storage::{BlockDevice, FlushDelayDevice, GroupCommitConfig, MemDevice};
+use hfad_storage::{BlockDevice, FaultDevice, GroupCommitConfig, MemDevice};
 
 /// A store with a deliberately tiny journal ring (`journal_blocks - 2`
 /// data blocks) so sustained traffic laps it many times.
@@ -196,7 +196,7 @@ proptest! {
     ) {
         let mem = MemDevice::with_capacity(16 * 1024 * 1024);
         let device: Arc<dyn BlockDevice> = if flush_delay_us > 0 {
-            Arc::new(FlushDelayDevice::new(
+            Arc::new(FaultDevice::flush_delay(
                 mem,
                 Duration::from_micros(flush_delay_us),
             ))

@@ -14,7 +14,7 @@
 
 use std::sync::Arc;
 
-use hfad_core::{Hfad, HfadError, ObjectId, Tag, TagValue};
+use hfad_core::{Hfad, HfadError, ObjectId, Tag, TagValue, INDEX_SHARDS};
 use hfad_index::KeyValueIndex;
 
 use crate::error::{PosixError, Result};
@@ -66,13 +66,9 @@ impl PosixFs {
         // The PARENT tag is served by a dedicated persistent key/value
         // index, registered through the ordinary plug-in mechanism.
         let ctx = fs.store().context().clone();
-        let parent_index = KeyValueIndex::new(
-            ctx,
-            "posix-parent",
-            Some(vec![parent_tag()]),
-            fs.config().index_shards,
-        )
-        .map_err(HfadError::from)?;
+        let parent_index =
+            KeyValueIndex::new(ctx, "posix-parent", Some(vec![parent_tag()]), INDEX_SHARDS)
+                .map_err(HfadError::from)?;
         fs.register_index(Arc::new(parent_index));
         let posix = PosixFs { fs };
         if posix.lookup("/").is_err() {

@@ -453,11 +453,10 @@ pub struct FaultConfig {
 /// A composable fault-injection device: per-operation delay, serialisation
 /// and every-Nth error knobs over any wrapped [`BlockDevice`].
 ///
-/// This generalises the ad-hoc wrappers the experiments grew one by one
-/// (`FlushDelayDevice` for E8's serialised flush latency, the slow-read
-/// and gated-read devices private to the cache tests): one wrapper,
-/// configured per class. Injected errors fire *before* the wrapped device
-/// is touched, so a failed operation has no side effects — which is what
+/// One wrapper, configured per class, covers E8's serialised flush
+/// latency ([`flush_delay`](Self::flush_delay)) and the slow-read and
+/// gated-read devices of the cache tests. Injected errors fire *before*
+/// the wrapped device is touched, so a failed operation has no side effects — which is what
 /// lets the async-engine tests assert that a faulted submission surfaces
 /// on its completion token while the device state stays explainable.
 ///
@@ -676,53 +675,6 @@ impl<D: BlockDevice> BlockDevice for FaultDevice<D> {
     }
 }
 
-/// A pass-through device that charges a fixed latency for every flush,
-/// serialised as on real hardware.
-///
-/// `MemDevice::flush` is a counter increment, which makes the cost that
-/// group commit amortises — the device sync — invisible. This is now a
-/// thin alias over [`FaultDevice::flush_delay`], kept because E8 and the
-/// group-commit suites are written against it.
-pub struct FlushDelayDevice<D: BlockDevice>(FaultDevice<D>);
-
-impl<D: BlockDevice> FlushDelayDevice<D> {
-    /// Wraps `inner`, making each flush take (at least) `delay`.
-    pub fn new(inner: D, delay: std::time::Duration) -> Self {
-        FlushDelayDevice(FaultDevice::flush_delay(inner, delay))
-    }
-
-    /// The wrapped device.
-    pub fn inner(&self) -> &D {
-        self.0.inner()
-    }
-}
-
-impl<D: BlockDevice> BlockDevice for FlushDelayDevice<D> {
-    fn block_size(&self) -> usize {
-        self.0.block_size()
-    }
-
-    fn block_count(&self) -> u64 {
-        self.0.block_count()
-    }
-
-    fn read_block(&self, block: u64, buf: &mut [u8]) -> Result<()> {
-        self.0.read_block(block, buf)
-    }
-
-    fn write_block(&self, block: u64, buf: &[u8]) -> Result<()> {
-        self.0.write_block(block, buf)
-    }
-
-    fn flush(&self) -> Result<()> {
-        self.0.flush()
-    }
-
-    fn counters(&self) -> DeviceCounters {
-        self.0.counters()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -850,7 +802,7 @@ mod tests {
     #[test]
     fn flush_delay_device_is_transparent_and_slow_to_flush() {
         let dev =
-            FlushDelayDevice::new(MemDevice::new(4, 128), std::time::Duration::from_millis(5));
+            FaultDevice::flush_delay(MemDevice::new(4, 128), std::time::Duration::from_millis(5));
         let data = vec![0x11u8; 128];
         dev.write_block(1, &data).unwrap();
         let mut out = vec![0u8; 128];

@@ -70,8 +70,8 @@ pub use buddy::BuddyAllocator;
 pub use bump::BumpAllocator;
 pub use cache::{CacheStats, CachedDevice, PrefetchSink};
 pub use device::{
-    BlockDevice, DeviceCounters, FaultConfig, FaultDevice, FileDevice, FlushDelayDevice, MemDevice,
-    OpFault, DEFAULT_BLOCK_SIZE,
+    BlockDevice, DeviceCounters, FaultConfig, FaultDevice, FileDevice, MemDevice, OpFault,
+    DEFAULT_BLOCK_SIZE,
 };
 pub use doublewrite::Doublewrite;
 pub use error::{Result, StorageError};
