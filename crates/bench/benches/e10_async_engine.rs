@@ -1,4 +1,4 @@
-//! E10: the async I/O engine — cold sequential scan with engine
+//! E10: the background-job engine — cold sequential scan with engine
 //! read-ahead off vs on, and ingest-call latency with eager inline
 //! indexing vs lazy indexing on the engine's Index class.
 

@@ -11,7 +11,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use hfad_core::{Hfad, HfadConfig, Tag, TagValue};
-use hfad_engine::{Engine, EngineConfig, EnginePrefetcher, Priority};
+use hfad_engine::{Engine, EnginePrefetcher, Priority};
 use hfad_hierfs::HierConfig;
 use hfad_index::{IndexStore, KeyValueIndex};
 
@@ -1232,7 +1232,7 @@ pub fn e9_cache_contention(scale: Scale) -> Table {
 }
 
 // ---------------------------------------------------------------------
-// E10 — the async I/O engine: read-ahead scan + query-during-ingest.
+// E10 — the background-job engine: read-ahead scan + query-during-ingest.
 // ---------------------------------------------------------------------
 
 /// Per-read latency E10 charges the scan device. Reads overlap (no
@@ -1266,13 +1266,7 @@ pub fn e10_cold_scan(blocks: u64, engine_on: bool) -> (Duration, hfad_storage::C
         blocks as usize,
     ));
     let engine = engine_on.then(|| {
-        let engine = Engine::with_config(
-            device,
-            EngineConfig {
-                workers: 8,
-                ..Default::default()
-            },
-        );
+        let engine = Engine::with_workers(device, 8);
         EnginePrefetcher::attach(Arc::clone(&engine), &cache, E10_RA_WINDOW, E10_RA_TRIGGER);
         engine
     });
@@ -1365,7 +1359,7 @@ pub fn e10_query_during_ingest(
     (ingest_elapsed, served, mean_query, drain)
 }
 
-/// E10: the async I/O engine — cold sequential scan throughput with
+/// E10: the background-job engine — cold sequential scan throughput with
 /// engine read-ahead off/on, and foreground query service while ingest
 /// rides the engine's Index class vs eager inline indexing.
 pub fn e10_async_engine(scale: Scale) -> Table {

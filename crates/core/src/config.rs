@@ -20,14 +20,14 @@ pub enum IndexingMode {
 
 /// Configuration for [`Hfad`](crate::fs::Hfad).
 ///
-/// There is one stack: the async I/O engine carries every background
-/// service (read-ahead, lazy indexing, checkpoint drains, and — on an
-/// in-memory cached store — dirty-page write-behind), the block cache is
-/// fronted by a decoded-node cache a quarter its size, and a
+/// There is one stack: the background-job engine carries every
+/// background service (read-ahead, lazy indexing, checkpoint drains, and
+/// — on an in-memory cached store — dirty-page write-behind), the block
+/// cache is fronted by a decoded-node cache a quarter its size, and a
 /// transactional store always runs the watermark checkpointer. Ablation
 /// baselines (other allocators, shard counts, extent sizes, group-commit
-/// policies, engine sizes) are built at their own layer from
-/// [`StoreConfig`], [`GroupCommitConfig`] and `hfad_engine::EngineConfig`.
+/// policies, engine worker counts) are built at their own layer from
+/// [`StoreConfig`], [`GroupCommitConfig`] and `hfad_engine::Engine::with_workers`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct HfadConfig {
     /// Blocks reserved for the write-ahead journal. `0` gives an
@@ -44,7 +44,8 @@ pub struct HfadConfig {
     pub indexing: IndexingMode,
     /// Attempt budget for transient device faults (`StorageError::
     /// TransientIo`), applied uniformly to group-commit journal flushes,
-    /// checkpoints, cache read fills and every engine priority class. `0`
+    /// checkpoints and cache read fills (which read-ahead populates go
+    /// through). Engine jobs run once; a job that retries owns it. `0`
     /// (the default) keeps each layer's standard policy
     /// ([`hfad_storage::RetryPolicy::standard`]: 5 attempts, exponential
     /// backoff from 1 ms); `1` disables retries; larger values deepen the

@@ -10,7 +10,7 @@ use std::sync::Arc;
 
 use hfad_btree::TreeContext;
 use hfad_engine::{
-    Engine, EngineConfig, EnginePrefetcher, EngineStats, Priority, WriteBehind, WriteBehindConfig,
+    Engine, EnginePrefetcher, EngineStats, Priority, WriteBehind, WriteBehindConfig,
 };
 use hfad_index::{
     FullTextIndex, IndexRegistry, IndexStats, IndexStore, KeyValueIndex, LazyIndexer, Query, Tag,
@@ -27,7 +27,7 @@ use crate::refine::SearchCursor;
 
 /// Aggregate statistics for an hFAD instance: one snapshot covers the
 /// whole stack, from device counters through group commit, background
-/// checkpointing and the async I/O engine.
+/// checkpointing and the background-job engine.
 #[derive(Debug, Clone)]
 pub struct HfadStats {
     /// OSD statistics (objects, device counters, allocator, caches).
@@ -38,7 +38,7 @@ pub struct HfadStats {
     pub fulltext_documents: u64,
     /// Backlog of the lazy indexer (0 when eager or idle).
     pub lazy_backlog: u64,
-    /// Async I/O engine counters.
+    /// Background-job engine counters.
     pub engine: EngineStats,
     /// Journal checkpoint / commit-stall counters; `None` until a
     /// transactional store has been opened (see
@@ -78,7 +78,7 @@ pub struct Hfad {
     /// non-transactional write paths gate on it (see
     /// [`check_writable`](Self::check_writable)).
     pub(crate) health: Arc<HealthState>,
-    /// The async I/O engine. Every background service above submits
+    /// The background-job engine. Every background service above submits
     /// into it; the explicit [`Drop`] impl stops them all first, then
     /// calls [`Engine::shutdown`] so the workers join even when an
     /// outliving store handle still holds the engine through the cache's
@@ -89,11 +89,11 @@ pub struct Hfad {
 impl Hfad {
     /// Creates (formats) an hFAD file system on `device`.
     ///
-    /// The async I/O engine is started over the **raw** device (beneath
-    /// the block cache, so cache fills and write-backs scheduled through
-    /// it hit real storage), and every background service is routed
-    /// through its priority classes: read-ahead and the dirty-page
-    /// flusher when a cache is configured, and lazy indexing.
+    /// The background-job engine is started over the **raw** device
+    /// (beneath the block cache; only [`Engine::read`] reads it), and
+    /// every background service is routed through its priority classes:
+    /// read-ahead and the dirty-page flusher when a cache is configured,
+    /// and lazy indexing.
     pub fn on_device(device: Arc<dyn BlockDevice>, config: HfadConfig) -> Result<Self> {
         let store = Arc::new(ObjectStore::create(device, config.store_config())?);
         Self::assemble(store, config, None)
@@ -181,19 +181,16 @@ impl Hfad {
         txn: Option<Arc<hfad_osd::TxnStore>>,
     ) -> Result<Self> {
         if let (Some(policy), Some(cache)) = (config.retry_policy(), store.block_cache()) {
-            // One knob, every retry site: the cache's read-fill backoff
-            // follows the same budget as group commit and the engine.
+            // One knob, every retry site: the cache's read fills (and so
+            // read-ahead populates) follow the same budget as group
+            // commit and the checkpointer.
             cache.set_read_retry(policy);
         }
         let raw: Arc<dyn BlockDevice> = match store.block_cache() {
             Some(cache) => Arc::clone(cache.inner()),
             None => Arc::clone(&store.context().device),
         };
-        let mut engine_config = EngineConfig::default();
-        if let Some(policy) = config.retry_policy() {
-            engine_config.retry = [policy; 4];
-        }
-        let engine = Engine::with_config(raw, engine_config);
+        let engine = Engine::new(raw);
         let write_behind = store.block_cache().and_then(|cache| {
             // Sequential-run detection in the cache feeds ReadAhead-class
             // prefetch jobs.
@@ -362,7 +359,7 @@ impl Hfad {
         Ok(self.health.check_writable()?)
     }
 
-    /// The async I/O engine.
+    /// The background-job engine.
     pub fn engine(&self) -> &Arc<Engine> {
         &self.engine
     }

@@ -2,7 +2,7 @@
 //!
 //! The crash harnesses (`crash_harness_full.rs` and the OSD one) torture
 //! the store by killing the process; this soak tortures it while it keeps
-//! running. Each trial assembles the full default configuration — async
+//! running. Each trial assembles the full default configuration — the
 //! engine, both cache tiers, write-behind, the watermark checkpointer —
 //! over a [`FaultDevice`] whose fault configuration is flipped **on the
 //! live device** mid-run:
@@ -11,9 +11,8 @@
 //!    per-trial swept rate on reads, writes and flushes. The contract is
 //!    *full absorption*: every commit succeeds, every read is
 //!    byte-identical to a shadow model, zero caller-visible errors — the
-//!    retry machinery (group-commit leaders, engine classes, the cache's
-//!    read-fill backoff, checkpoint backoff) must soak up every injected
-//!    fault.
+//!    retry machinery (group-commit leaders, the cache's read-fill
+//!    backoff, checkpoint backoff) must soak up every injected fault.
 //! 2. **Permanent phase**: the same live device flips to failing every
 //!    write and flush permanently. The contract is *clean degradation*:
 //!    a commit fails with a typed error, the store lands in
@@ -303,7 +302,6 @@ fn chaos_trial(trial: u64) -> SoakTotals {
         "stats must carry health"
     );
     let gc = stats.group_commit.expect("txn store open");
-    let engine_retried = stats.engine.total_retried();
     let cache_retried = stats.store.block_cache.map(|c| c.retried).unwrap_or(0);
 
     // Clean drop with the device still failing: services and engine must
@@ -317,7 +315,7 @@ fn chaos_trial(trial: u64) -> SoakTotals {
     );
     SoakTotals {
         injected: p1_reads + p1_writes + p1_flushes,
-        retried: gc.retried + engine_retried + cache_retried,
+        retried: gc.retried + cache_retried,
     }
 }
 

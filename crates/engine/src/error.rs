@@ -1,4 +1,4 @@
-//! Error type for the async I/O engine.
+//! Error type for the engine.
 
 use core::fmt;
 
@@ -6,17 +6,17 @@ use hfad_storage::StorageError;
 
 /// Errors surfaced on submission or on a completion token.
 ///
-/// Execution failures never take a worker thread down: the error is
-/// recorded on the op's [`Completion`](crate::Completion) and the worker
-/// moves on to the next op.
+/// Job failures never take a worker thread down: the error is recorded
+/// on the job's [`Completion`](crate::Completion) and the worker moves on
+/// to the next job.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum EngineError {
     /// The underlying device or job failed.
     Storage(StorageError),
     /// The engine has been shut down and accepts no further work.
     Shutdown,
-    /// The op's priority class is at its admission capacity and the class
-    /// policy is [`AdmissionPolicy::Reject`](crate::AdmissionPolicy::Reject).
+    /// The [`ReadAhead`](crate::Priority::ReadAhead) class is at its
+    /// admission capacity; the other classes block instead.
     QueueFull,
 }
 
@@ -27,15 +27,6 @@ impl fmt::Display for EngineError {
             EngineError::Shutdown => write!(f, "engine has shut down"),
             EngineError::QueueFull => write!(f, "priority class queue is full"),
         }
-    }
-}
-
-impl EngineError {
-    /// Whether this is a retryable fault: a wrapped
-    /// [`StorageError::TransientIo`]. `Shutdown` and `QueueFull` are
-    /// control-flow signals, not device faults.
-    pub fn is_transient(&self) -> bool {
-        matches!(self, EngineError::Storage(e) if e.is_transient())
     }
 }
 

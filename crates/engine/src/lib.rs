@@ -1,32 +1,34 @@
 //! # hfad-engine
 //!
-//! The asynchronous I/O engine of the hFAD reproduction ("Hierarchical
+//! The background-job engine of the hFAD reproduction ("Hierarchical
 //! File Systems Are Dead", Seltzer & Murphy, HotOS 2009).
 //!
-//! The paper's OSD performs its background work — lazy full-text indexing
-//! (§3.4), cache write-back, speculative read-ahead — on ad-hoc threads.
-//! This crate replaces that with one io_uring-shaped engine over the
-//! synchronous [`BlockDevice`](hfad_storage::BlockDevice) trait:
+//! The paper's OSD defers work off the caller's path — lazy full-text
+//! indexing (§3.4) most of all. This crate is the one place such work
+//! runs: a priority job scheduler drained by a worker pool.
 //!
-//! * [`Engine`] — callers submit [`IoOp`]s or opaque jobs tagged with a
-//!   [`Priority`] class and get a [`Completion`] token to wait or poll;
-//!   a worker pool drains a multi-queue scheduler (strict priority plus
-//!   aging, per-block FIFO, flush gates). Per-class admission control
-//!   ([`ClassConfig`]) blocks or rejects submitters at capacity, and
-//!   [`EngineStats`] counts every stage.
+//! * [`Engine`] — callers submit closures with
+//!   [`submit_job`](Engine::submit_job), tagged with a [`Priority`]
+//!   class, and get a [`Completion`] token to wait on. The scheduler
+//!   serves classes in strict priority order, with aging so background
+//!   work never starves. Each class admits a bounded number of jobs; a
+//!   full class blocks its submitter, except read-ahead, which rejects.
+//!   A job runs exactly once and its error lands on its token;
+//!   [`EngineStats`] counts every stage. [`Engine::read`] is a job that
+//!   reads one block of the engine's device and delivers the bytes.
 //! * [`EnginePrefetcher`] — bridges the block cache's sequential-run
 //!   detector to [`Priority::ReadAhead`] prefetch jobs.
 //! * [`WriteBehind`] — watermark-driven dirty-page trickle flusher at
 //!   [`Priority::WriteBehind`].
-//! * Background jobs — [`Engine::executor`] hands out a
+//! * [`Engine::executor`] hands out a
 //!   [`BackgroundExecutor`](hfad_storage::BackgroundExecutor) pinned to
 //!   one class: lazy indexing rides [`Priority::Index`] and journal
 //!   checkpoints [`Priority::WriteBehind`], each with bounded
 //!   backpressure.
 //!
-//! Experiment E10 (`hfad_bench`) measures the engine against the
-//! synchronous baseline: cold sequential scans with read-ahead and
-//! query-during-ingest with lazy indexing on the Index class.
+//! Experiment E10 (`hfad_bench`) measures the engine's services: cold
+//! sequential scans with read-ahead and query-during-ingest with lazy
+//! indexing on the Index class.
 
 pub mod engine;
 pub mod error;
@@ -35,8 +37,8 @@ mod sched;
 pub mod services;
 pub mod stats;
 
-pub use engine::{AdmissionPolicy, ClassConfig, Engine, EngineConfig};
+pub use engine::Engine;
 pub use error::{EngineError, Result};
-pub use op::{Completion, CompletionResult, IoOp, Priority};
+pub use op::{Completion, CompletionResult, Priority};
 pub use services::{EnginePrefetcher, WriteBehind, WriteBehindConfig};
 pub use stats::{ClassStats, EngineStats};

@@ -1,19 +1,18 @@
-//! Submission-side types: priority classes, I/O ops and completion tokens.
+//! Submission-side types: priority classes and completion tokens.
 
 use std::sync::{Arc, Condvar, Mutex};
 
 use crate::error::EngineError;
 
-/// Priority class of a submitted op, highest first.
+/// Priority class of a submitted job, highest first.
 ///
-/// The scheduler serves classes in this order, with aging (see
-/// [`EngineConfig::aging`](crate::EngineConfig::aging)) promoting ops that
-/// have waited too long so sustained high-priority load cannot starve the
-/// background classes forever.
+/// The scheduler serves classes in this order, with aging (a 5 ms queue
+/// wait) promoting jobs that have waited too long so sustained
+/// high-priority load cannot starve the background classes forever.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 #[repr(usize)]
 pub enum Priority {
-    /// Latency-sensitive caller-visible I/O (cache misses, query reads).
+    /// Latency-sensitive work a caller is waiting on.
     Foreground = 0,
     /// Dirty-page trickle flushing ahead of eviction pressure.
     WriteBehind = 1,
@@ -48,32 +47,8 @@ impl Priority {
     }
 }
 
-/// A block-device operation submitted to the engine.
-///
-/// Ops on the **same block** execute in submission order (per-block FIFO);
-/// ops on different blocks may be reordered by priority and worker timing.
-/// A `Flush` waits for every op submitted before it to complete, then
-/// flushes the device; ops submitted after a flush do not wait for it.
-#[derive(Debug, Clone)]
-pub enum IoOp {
-    /// Read one block; the data arrives on the completion token.
-    Read {
-        /// Block number to read.
-        block: u64,
-    },
-    /// Write one block. The buffer is shared, not copied per-retry.
-    Write {
-        /// Block number to write.
-        block: u64,
-        /// Exactly `block_size` bytes.
-        data: Arc<[u8]>,
-    },
-    /// Flush the device once all previously submitted ops complete.
-    Flush,
-}
-
-/// Result delivered through a [`Completion`]: read data for reads, `None`
-/// for writes, flushes and jobs.
+/// Result delivered through a [`Completion`]: the block's bytes for
+/// [`Engine::read`](crate::Engine::read), `None` for jobs.
 pub type CompletionResult = Result<Option<Arc<[u8]>>, EngineError>;
 
 pub(crate) struct CompletionState {
@@ -97,14 +72,14 @@ impl CompletionState {
     }
 }
 
-/// Handle to one submitted op. Wait (blocking) or poll for the outcome;
-/// dropping the token abandons the result without cancelling the op.
+/// Handle to one submitted job. Wait for the outcome; dropping the token
+/// abandons the result without cancelling the job.
 pub struct Completion {
     pub(crate) state: Arc<CompletionState>,
 }
 
 impl Completion {
-    /// Blocks until the op completes and returns its result. Subsequent
+    /// Blocks until the job completes and returns its result. Subsequent
     /// calls return the same result again.
     pub fn wait(&self) -> CompletionResult {
         let mut slot = self.state.result.lock().unwrap();
@@ -115,18 +90,14 @@ impl Completion {
     }
 
     /// Blocks until a read completes and returns its data. Panics if the
-    /// op was not a read (writes/flushes/jobs deliver no data).
+    /// job was not an [`Engine::read`](crate::Engine::read) (jobs deliver
+    /// no data).
     pub fn wait_read(&self) -> Result<Arc<[u8]>, EngineError> {
         self.wait()
-            .map(|data| data.expect("wait_read on an op that delivers no data"))
+            .map(|data| data.expect("wait_read on a job that delivers no data"))
     }
 
-    /// Returns the result if the op has completed, without blocking.
-    pub fn poll(&self) -> Option<CompletionResult> {
-        self.state.result.lock().unwrap().clone()
-    }
-
-    /// Whether the op has completed (successfully or not).
+    /// Whether the job has completed (successfully or not).
     pub fn is_done(&self) -> bool {
         self.state.result.lock().unwrap().is_some()
     }

@@ -1,93 +1,37 @@
-//! Scheduler internals: the multi-queue, per-block chains and flush gates.
+//! Scheduler internals: one FIFO queue per priority class, with aging.
 //!
 //! One mutex guards all of this (`Engine` holds `Mutex<Core>`); workers
-//! take the lock only to pick or retire an op, never while executing one.
+//! take the lock only to pick or retire a job, never while running one.
 //!
-//! Ordering invariants maintained here:
-//!
-//! * **Per-block FIFO** — at most one op per block is ever runnable or
-//!   executing; later ops on the same block wait in that block's chain and
-//!   are released one at a time as completions come in. This is what makes
-//!   the engine byte-for-byte equivalent to executing the same ops
-//!   synchronously (see `tests/equivalence.rs`).
-//! * **Flush gates** — a flush executes only after every op submitted
-//!   before it has completed. Ops submitted *after* a flush do not wait
-//!   for it (io_uring's un-linked fsync semantics, not a full barrier).
-//! * **Aging** — the scheduler normally serves the highest-priority
-//!   non-empty queue, but a lower-class op whose queue wait exceeds the
-//!   aging threshold is served first, so sustained high-priority load
-//!   cannot starve background classes indefinitely.
+//! The scheduler normally serves the highest-priority non-empty queue,
+//! but a lower-class job whose queue wait exceeds the aging threshold is
+//! served first, so sustained high-priority load cannot starve
+//! background classes indefinitely.
 
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::VecDeque;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use crate::op::{CompletionState, Priority};
+use crate::op::{CompletionResult, CompletionState, Priority};
 use crate::stats::EngineStats;
 
-/// The work carried by one submitted op.
-pub(crate) enum Work {
-    Read {
-        block: u64,
-    },
-    Write {
-        block: u64,
-        data: Arc<[u8]>,
-    },
-    Flush,
-    /// Opaque background job (prefetch population, write-behind batch,
-    /// lazy-index item). Participates in flush gates like any other
-    /// non-flush op.
-    Job(Box<dyn FnOnce() -> hfad_storage::Result<()> + Send>),
-}
+/// The work carried by one submitted job; its result lands on the token.
+pub(crate) type Job = Box<dyn FnOnce() -> CompletionResult + Send>;
 
-impl Work {
-    pub(crate) fn block(&self) -> Option<u64> {
-        match self {
-            Work::Read { block } | Work::Write { block, .. } => Some(*block),
-            Work::Flush | Work::Job(_) => None,
-        }
-    }
-
-    pub(crate) fn is_flush(&self) -> bool {
-        matches!(self, Work::Flush)
-    }
-}
-
-/// One admitted op waiting to run (or chained behind a busy block).
+/// One admitted job waiting to run.
 pub(crate) struct Pending {
-    pub(crate) seq: u64,
     pub(crate) class: Priority,
     pub(crate) enqueued: Instant,
-    pub(crate) work: Work,
+    pub(crate) job: Job,
     pub(crate) completion: Arc<CompletionState>,
 }
 
-/// A flush waiting for `remaining` earlier non-flush ops to complete.
-struct FlushGate {
-    seq: u64,
-    remaining: usize,
-    op: Pending,
-}
-
 pub(crate) struct Core {
-    next_seq: u64,
-    /// Runnable ops per class, FIFO within a class.
+    /// Runnable jobs per class, FIFO within a class.
     runnable: [VecDeque<Pending>; 4],
-    /// Ops waiting behind an earlier op on the same block.
-    chained: HashMap<u64, VecDeque<Pending>>,
-    chained_count: usize,
-    /// Blocks with an op runnable or executing.
-    busy_blocks: HashSet<u64>,
-    /// Flushes not yet released, in submission (seq) order.
-    gates: VecDeque<FlushGate>,
-    /// Non-flush ops admitted and not yet completed.
-    active_non_flush: usize,
-    /// In-flight ops per class (admitted, not completed) for admission
-    /// control.
+    /// In-flight jobs per class (admitted, not completed): queued plus
+    /// running. Admission control and idleness both read it.
     depth: [usize; 4],
-    /// Ops currently executing on a worker.
-    executing: usize,
     pub(crate) shutdown: bool,
     pub(crate) stats: EngineStats,
 }
@@ -95,88 +39,38 @@ pub(crate) struct Core {
 impl Core {
     pub(crate) fn new() -> Core {
         Core {
-            next_seq: 0,
             runnable: Default::default(),
-            chained: HashMap::new(),
-            chained_count: 0,
-            busy_blocks: HashSet::new(),
-            gates: VecDeque::new(),
-            active_non_flush: 0,
             depth: [0; 4],
-            executing: 0,
             shutdown: false,
             stats: EngineStats::default(),
         }
     }
 
-    /// Ops anywhere in the scheduler: runnable, chained, gated or
-    /// executing. Zero means the engine is idle.
+    /// Jobs queued or running. Zero means the engine is idle.
     pub(crate) fn total_pending(&self) -> usize {
-        self.runnable.iter().map(VecDeque::len).sum::<usize>()
-            + self.chained_count
-            + self.gates.len()
-            + self.executing
+        self.depth.iter().sum()
     }
 
     pub(crate) fn depth_of(&self, class: Priority) -> usize {
         self.depth[class.index()]
     }
 
-    /// Admits `work` at `class`. Caller has already applied admission
-    /// policy (capacity check) under the same lock.
-    pub(crate) fn admit(&mut self, class: Priority, work: Work, completion: Arc<CompletionState>) {
-        let seq = self.next_seq;
-        self.next_seq += 1;
+    /// Admits `job` at `class`. Caller has already applied admission
+    /// control under the same lock.
+    pub(crate) fn admit(&mut self, class: Priority, job: Job, completion: Arc<CompletionState>) {
         self.depth[class.index()] += 1;
         let stats = &mut self.stats.classes[class.index()];
         stats.submitted += 1;
         stats.max_depth = stats.max_depth.max(self.depth[class.index()] as u64);
-
-        let pending = Pending {
-            seq,
+        self.runnable[class.index()].push_back(Pending {
             class,
             enqueued: Instant::now(),
-            work,
+            job,
             completion,
-        };
-        if pending.work.is_flush() {
-            self.gates.push_back(FlushGate {
-                seq,
-                remaining: self.active_non_flush,
-                op: pending,
-            });
-            self.release_ready_gates();
-        } else {
-            self.active_non_flush += 1;
-            match pending.work.block() {
-                Some(block) if self.busy_blocks.contains(&block) => {
-                    self.chained.entry(block).or_default().push_back(pending);
-                    self.chained_count += 1;
-                }
-                Some(block) => {
-                    self.busy_blocks.insert(block);
-                    self.runnable[class.index()].push_back(pending);
-                }
-                None => self.runnable[class.index()].push_back(pending),
-            }
-        }
+        });
     }
 
-    /// Moves every front gate whose wait set has drained into its class
-    /// queue. Front-first is safe: an earlier gate's wait set is a subset
-    /// of every later gate's, so `remaining` hits zero in seq order.
-    fn release_ready_gates(&mut self) {
-        while let Some(gate) = self.gates.front() {
-            if gate.remaining > 0 {
-                break;
-            }
-            let gate = self.gates.pop_front().unwrap();
-            self.runnable[gate.op.class.index()].push_back(gate.op);
-        }
-    }
-
-    /// Picks the next op to execute, or `None` if nothing is runnable.
-    /// Increments `executing` for a returned op.
+    /// Picks the next job to run, or `None` if nothing is queued.
     pub(crate) fn pop_next(&mut self, aging: Duration) -> Option<Pending> {
         let now = Instant::now();
         // Aging pass: among lower-class queue heads that have waited past
@@ -198,25 +92,14 @@ impl Core {
             }
             None => (0..4).find(|&c| !self.runnable[c].is_empty())?,
         };
-        let op = self.runnable[class].pop_front().unwrap();
-        self.executing += 1;
-        self.stats.classes[class].wait_us += now.duration_since(op.enqueued).as_micros() as u64;
-        Some(op)
+        let job = self.runnable[class].pop_front().unwrap();
+        self.stats.classes[class].wait_us += now.duration_since(job.enqueued).as_micros() as u64;
+        Some(job)
     }
 
-    /// Retires an executed op: updates counters, releases the block chain
-    /// and decrements flush gates. Returns `true` if new ops became
-    /// runnable (caller should wake other workers).
-    pub(crate) fn retire(
-        &mut self,
-        seq: u64,
-        class: Priority,
-        block: Option<u64>,
-        was_flush: bool,
-        succeeded: bool,
-        service: Duration,
-    ) -> bool {
-        self.executing -= 1;
+    /// Retires a job that has run: frees its admission slot and counts
+    /// its outcome.
+    pub(crate) fn retire(&mut self, class: Priority, succeeded: bool, service: Duration) {
         self.depth[class.index()] -= 1;
         let stats = &mut self.stats.classes[class.index()];
         if succeeded {
@@ -225,34 +108,5 @@ impl Core {
             stats.failed += 1;
         }
         stats.service_us += service.as_micros() as u64;
-
-        let mut woke = false;
-        if !was_flush {
-            self.active_non_flush -= 1;
-            // Only gates submitted after this op wait on it.
-            for gate in self.gates.iter_mut().filter(|g| g.seq > seq) {
-                gate.remaining -= 1;
-            }
-            let before = self.gates.len();
-            self.release_ready_gates();
-            woke |= self.gates.len() != before;
-        }
-        if let Some(block) = block {
-            let next = self.chained.get_mut(&block).and_then(VecDeque::pop_front);
-            match next {
-                Some(op) => {
-                    self.chained_count -= 1;
-                    if self.chained[&block].is_empty() {
-                        self.chained.remove(&block);
-                    }
-                    self.runnable[op.class.index()].push_back(op);
-                    woke = true;
-                }
-                None => {
-                    self.busy_blocks.remove(&block);
-                }
-            }
-        }
-        woke
     }
 }

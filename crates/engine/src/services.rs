@@ -121,7 +121,7 @@ impl WriteBehind {
                         }),
                     ) {
                         // Self-pacing: wait out this batch (errors land on
-                        // the token and are retried by the next tick). A
+                        // the token; the next tick tries again). A
                         // zero-progress batch additionally backs off: the
                         // dirty count is high but nothing is writable
                         // (retain-dirty mode, pinned frames), so spinning

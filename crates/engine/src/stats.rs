@@ -5,34 +5,27 @@ use crate::op::Priority;
 /// Counters for one priority class.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct ClassStats {
-    /// Ops admitted into the scheduler.
+    /// Jobs admitted into the scheduler.
     pub submitted: u64,
-    /// Ops that executed and succeeded.
+    /// Jobs that ran and succeeded.
     pub completed: u64,
-    /// Ops that executed and failed (the error is on the completion token).
+    /// Jobs that ran and failed (the error is on the completion token).
     pub failed: u64,
-    /// Execution attempts re-issued after a transient device error
-    /// (several retries of one op count individually).
-    pub retried: u64,
-    /// Ops that still failed transiently after exhausting their class's
-    /// retry budget; a subset of [`failed`](Self::failed).
-    pub gave_up: u64,
-    /// Ops refused at admission ([`AdmissionPolicy::Reject`] at capacity).
-    ///
-    /// [`AdmissionPolicy::Reject`]: crate::AdmissionPolicy::Reject
+    /// Jobs refused at admission (only a full
+    /// [`ReadAhead`](Priority::ReadAhead) class rejects).
     pub rejected: u64,
-    /// Ops served via the aging path ahead of a higher-priority queue.
+    /// Jobs served via the aging path ahead of a higher-priority queue.
     pub aged: u64,
-    /// High-water mark of in-flight ops (admitted, not yet completed).
+    /// High-water mark of in-flight jobs (admitted, not yet completed).
     pub max_depth: u64,
-    /// Total microseconds ops spent queued before execution began.
+    /// Total microseconds jobs spent queued before execution began.
     pub wait_us: u64,
-    /// Total microseconds ops spent executing.
+    /// Total microseconds jobs spent running.
     pub service_us: u64,
 }
 
 impl ClassStats {
-    /// Mean queue wait per executed op, in microseconds.
+    /// Mean queue wait per job run, in microseconds.
     pub fn mean_wait_us(&self) -> f64 {
         let executed = self.completed + self.failed;
         if executed == 0 {
@@ -56,28 +49,18 @@ impl EngineStats {
         &self.classes[priority.index()]
     }
 
-    /// Ops completed successfully across all classes.
+    /// Jobs completed successfully across all classes.
     pub fn total_completed(&self) -> u64 {
         self.classes.iter().map(|c| c.completed).sum()
     }
 
-    /// Ops that failed across all classes.
+    /// Jobs that failed across all classes.
     pub fn total_failed(&self) -> u64 {
         self.classes.iter().map(|c| c.failed).sum()
     }
 
-    /// Ops refused at admission across all classes.
+    /// Jobs refused at admission across all classes.
     pub fn total_rejected(&self) -> u64 {
         self.classes.iter().map(|c| c.rejected).sum()
-    }
-
-    /// Retried execution attempts across all classes.
-    pub fn total_retried(&self) -> u64 {
-        self.classes.iter().map(|c| c.retried).sum()
-    }
-
-    /// Ops that exhausted their retry budget across all classes.
-    pub fn total_gave_up(&self) -> u64 {
-        self.classes.iter().map(|c| c.gave_up).sum()
     }
 }

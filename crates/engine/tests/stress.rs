@@ -1,73 +1,111 @@
 //! Engine behaviour under load and under injected faults: priority and
-//! aging bounds, flush-gate ordering, error isolation, graceful shutdown,
-//! and the three background services end to end.
+//! aging bounds, bounded admission, error isolation, graceful shutdown,
+//! and the background services end to end.
 
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 use hfad_engine::{
-    ClassConfig, Engine, EngineConfig, EnginePrefetcher, IoOp, Priority, WriteBehind,
-    WriteBehindConfig,
+    Engine, EngineError, EnginePrefetcher, Priority, WriteBehind, WriteBehindConfig,
 };
-use hfad_storage::{BlockDevice, CachedDevice, FaultConfig, FaultDevice, MemDevice, OpFault};
+use hfad_storage::{
+    BlockDevice, CachedDevice, FaultConfig, FaultDevice, MemDevice, OpFault, StorageError,
+};
+
+type Job = Box<dyn FnOnce() -> hfad_storage::Result<()> + Send>;
 
 fn mem_engine(workers: usize) -> Arc<Engine> {
-    Engine::with_config(
-        Arc::new(MemDevice::new(256, 512)),
-        EngineConfig {
-            workers,
-            ..Default::default()
-        },
-    )
+    Engine::with_workers(Arc::new(MemDevice::new(256, 512)), workers)
 }
 
-fn sleep_job(d: Duration) -> Box<dyn FnOnce() -> hfad_storage::Result<()> + Send> {
+fn sleep_job(d: Duration) -> Job {
     Box::new(move || {
         std::thread::sleep(d);
         Ok(())
     })
 }
 
-/// A foreground read jumps ahead of a deep backlog of read-ahead work:
-/// its latency is bounded by the ops already executing, not by the queue.
+fn ok_job() -> Job {
+    Box::new(|| Ok(()))
+}
+
+/// A gate that jobs block on until the test opens it, so a test can hold
+/// workers busy for exactly as long as it needs. Dropping it opens it, so
+/// a failing test never leaves a worker (and the engine's drop) blocked.
+#[derive(Default)]
+struct Latch(Arc<(Mutex<bool>, Condvar)>);
+
+impl Latch {
+    fn job(&self) -> Job {
+        let latch = Arc::clone(&self.0);
+        Box::new(move || {
+            let (open, cv) = &*latch;
+            let mut open = open.lock().unwrap();
+            while !*open {
+                open = cv.wait(open).unwrap();
+            }
+            Ok(())
+        })
+    }
+
+    fn open(&self) {
+        let (open, cv) = &*self.0;
+        *open.lock().unwrap() = true;
+        cv.notify_all();
+    }
+}
+
+impl Drop for Latch {
+    fn drop(&mut self) {
+        self.open();
+    }
+}
+
+/// A foreground job jumps ahead of a deep backlog of read-ahead work:
+/// when a worker frees it runs next, not behind the queue.
 #[test]
 fn foreground_overtakes_readahead_backlog() {
-    let engine = Engine::with_config(
-        Arc::new(MemDevice::new(256, 512)),
-        EngineConfig {
-            workers: 2,
-            classes: [
-                ClassConfig::blocking(4096),
-                ClassConfig::blocking(1024),
-                // Deep blocking ReadAhead queue so the backlog builds.
-                ClassConfig::blocking(4096),
-                ClassConfig::blocking(1024),
-            ],
-            ..Default::default()
-        },
-    );
-    let mut background = Vec::new();
-    for _ in 0..300 {
-        background.push(
-            engine
-                .submit_job(Priority::ReadAhead, sleep_job(Duration::from_millis(1)))
-                .unwrap(),
-        );
+    let engine = mem_engine(2);
+    let latch = Latch::default();
+    // FIFO within the class: the first two jobs hold both workers.
+    let mut tokens: Vec<_> = (0..2)
+        .map(|_| engine.submit_job(Priority::ReadAhead, latch.job()).unwrap())
+        .collect();
+    // A backlog just under the class's capacity of 256.
+    let ran = Arc::new(AtomicUsize::new(0));
+    for _ in 0..250 {
+        let ran = Arc::clone(&ran);
+        let job: Job = Box::new(move || {
+            ran.fetch_add(1, Ordering::SeqCst);
+            Ok(())
+        });
+        tokens.push(engine.submit_job(Priority::ReadAhead, job).unwrap());
     }
-    let started = Instant::now();
-    let token = engine.read(Priority::Foreground, 7).unwrap();
-    token.wait().unwrap();
-    let latency = started.elapsed();
-    // 300 queued jobs × 1ms on 2 workers is ≥150ms of backlog; the
-    // foreground read must not wait for it (generous bound for CI noise).
+    let ahead = Arc::new(AtomicUsize::new(usize::MAX));
+    let (seen, count) = (Arc::clone(&ahead), Arc::clone(&ran));
+    let foreground = engine
+        .submit_job(
+            Priority::Foreground,
+            Box::new(move || {
+                seen.store(count.load(Ordering::SeqCst), Ordering::SeqCst);
+                Ok(())
+            }),
+        )
+        .unwrap();
+    latch.open();
+    foreground.wait().unwrap();
+    for token in tokens {
+        token.wait().unwrap();
+    }
+    // Only the job on the other freed worker may slip in first (aging
+    // lets the backlog ahead only after it has waited 5 ms).
+    let ahead = ahead.load(Ordering::SeqCst);
     assert!(
-        latency < Duration::from_millis(100),
-        "foreground read stalled {latency:?} behind read-ahead backlog"
+        ahead < 50,
+        "foreground job ran behind {ahead} of 250 read-ahead jobs"
     );
-    // Plenty of the backlog is provably still queued at that point.
-    assert!(background.iter().filter(|t| !t.is_done()).count() > 50);
-    engine.wait_idle();
+    assert_eq!(ran.load(Ordering::SeqCst), 250);
 }
 
 /// With all four classes loaded and high-priority work arriving
@@ -75,15 +113,7 @@ fn foreground_overtakes_readahead_backlog() {
 /// bound instead of starving it until the flood ends.
 #[test]
 fn aging_bounds_index_latency_with_all_classes_loaded() {
-    let aging = Duration::from_millis(5);
-    let engine = Engine::with_config(
-        Arc::new(MemDevice::new(256, 512)),
-        EngineConfig {
-            workers: 1,
-            aging,
-            ..Default::default()
-        },
-    );
+    let engine = mem_engine(1);
     // Sustained floods: Foreground refills faster than service drains it,
     // with WriteBehind and ReadAhead load mixed in.
     let stop = Arc::new(AtomicBool::new(false));
@@ -113,9 +143,7 @@ fn aging_bounds_index_latency_with_all_classes_loaded() {
     std::thread::sleep(Duration::from_millis(20));
 
     let started = Instant::now();
-    let token = engine
-        .submit_job(Priority::Index, Box::new(|| Ok(())))
-        .unwrap();
+    let token = engine.submit_job(Priority::Index, ok_job()).unwrap();
     token.wait().unwrap();
     let latency = started.elapsed();
 
@@ -139,169 +167,158 @@ fn aging_bounds_index_latency_with_all_classes_loaded() {
     assert!(promoted > 0, "aging never fired under sustained load");
 }
 
-/// A flush completes only after every op submitted before it.
-#[test]
-fn flush_gates_wait_for_prior_ops() {
-    let device = Arc::new(FaultDevice::new(
-        MemDevice::new(64, 512),
-        FaultConfig {
-            write: OpFault::delay(Duration::from_millis(2)),
-            ..Default::default()
-        },
-    ));
-    let engine = Engine::with_config(
-        device as Arc<dyn BlockDevice>,
-        EngineConfig {
-            workers: 4,
-            ..Default::default()
-        },
-    );
-    let data: Arc<[u8]> = vec![0xAB; 512].into();
-    let writes: Vec<_> = (0..16)
-        .map(|b| {
-            engine
-                .submit(
-                    Priority::WriteBehind,
-                    IoOp::Write {
-                        block: b,
-                        data: Arc::clone(&data),
-                    },
-                )
-                .unwrap()
-        })
-        .collect();
-    let flush = engine.flush(Priority::Foreground).unwrap();
-    flush.wait().unwrap();
-    for (i, w) in writes.iter().enumerate() {
-        assert!(w.is_done(), "flush completed before write {i}");
-    }
-    engine.wait_idle();
-}
-
-/// Injected device errors surface on the op's completion token; the
-/// worker pool survives and keeps serving later ops.
+/// Device faults under `Engine::read` and failing jobs land on their
+/// tokens; the worker pool survives and keeps serving later jobs.
 #[test]
 fn injected_errors_land_on_tokens_not_workers() {
     let device = Arc::new(FaultDevice::new(
         MemDevice::new(64, 512),
         FaultConfig {
-            write: OpFault::error_every(3),
+            read: OpFault::error_every(3),
             ..Default::default()
         },
     ));
-    let engine = Engine::with_config(
-        Arc::clone(&device) as Arc<dyn BlockDevice>,
-        EngineConfig {
-            workers: 2,
-            ..Default::default()
-        },
-    );
-    let data: Arc<[u8]> = vec![0x5A; 512].into();
+    let engine = Engine::with_workers(device as Arc<dyn BlockDevice>, 2);
     let mut failures = 0;
     for round in 0..30u64 {
-        let token = engine
-            .submit(
-                Priority::Foreground,
-                IoOp::Write {
-                    block: round % 64,
-                    data: Arc::clone(&data),
-                },
-            )
-            .unwrap();
-        if token.wait().is_err() {
-            failures += 1;
+        let token = engine.read(Priority::Foreground, round % 64).unwrap();
+        match token.wait_read() {
+            Ok(data) => assert_eq!(data.len(), 512),
+            Err(_) => failures += 1,
         }
     }
-    assert_eq!(failures, 10, "every 3rd write must fail");
-    // Stats are updated at retire, which can lag the waited token by a
-    // scheduling instant; quiesce before asserting exact counts.
-    engine.wait_idle();
+    assert_eq!(failures, 10, "every 3rd read must fail");
+    let failure = || StorageError::Io("job failed".into());
+    for _ in 0..5 {
+        let err = engine
+            .submit_job(Priority::Index, Box::new(move || Err(failure())))
+            .unwrap()
+            .wait()
+            .unwrap_err();
+        assert_eq!(err, EngineError::Storage(failure()));
+    }
     let stats = engine.stats();
-    assert_eq!(stats.class(Priority::Foreground).failed, 10);
-    assert_eq!(stats.class(Priority::Foreground).completed, 20);
-    // The pool is still fully alive: reads succeed afterwards.
+    let fg = stats.class(Priority::Foreground);
+    assert_eq!((fg.completed, fg.failed), (20, 10));
+    let index = stats.class(Priority::Index);
+    assert_eq!((index.completed, index.failed), (0, 5));
+    // The pool is still fully alive.
     engine
-        .read(Priority::Foreground, 0)
+        .submit_job(Priority::Index, ok_job())
         .unwrap()
         .wait()
         .unwrap();
-    engine.wait_idle();
 }
 
-/// Reject-policy classes shed load at capacity and count it.
+/// Jobs own their retries: one failing with `TransientIo` runs exactly
+/// once, its error lands on its token, and its class counts one failure.
+#[test]
+fn transient_job_errors_run_once_and_land_on_the_token() {
+    let engine = mem_engine(2);
+    let runs = Arc::new(AtomicUsize::new(0));
+    let job_runs = Arc::clone(&runs);
+    let blip = || StorageError::TransientIo("blip".into());
+    let err = engine
+        .submit_job(
+            Priority::Index,
+            Box::new(move || {
+                job_runs.fetch_add(1, Ordering::SeqCst);
+                Err(blip())
+            }),
+        )
+        .unwrap()
+        .wait()
+        .unwrap_err();
+    assert_eq!(err, EngineError::Storage(blip()));
+    // Counted before the token completed.
+    let index = *engine.stats().class(Priority::Index);
+    assert_eq!((index.submitted, index.completed, index.failed), (1, 0, 1));
+    engine.wait_idle();
+    assert_eq!(runs.load(Ordering::SeqCst), 1, "the engine re-ran the job");
+}
+
+/// ReadAhead admits 256 in-flight jobs and rejects the rest, counting
+/// each refusal; a full ReadAhead class does not refuse other classes.
 #[test]
 fn readahead_rejects_at_capacity() {
-    let engine = Engine::with_config(
-        Arc::new(MemDevice::new(64, 512)),
-        EngineConfig {
-            workers: 1,
-            classes: [
-                ClassConfig::blocking(4096),
-                ClassConfig::blocking(1024),
-                ClassConfig::rejecting(4),
-                ClassConfig::blocking(1024),
-            ],
-            ..Default::default()
-        },
-    );
-    let mut accepted = 0u64;
-    let mut rejected = 0u64;
-    for _ in 0..64 {
-        match engine.submit_job(Priority::ReadAhead, sleep_job(Duration::from_millis(1))) {
-            Ok(_) => accepted += 1,
-            Err(hfad_engine::EngineError::QueueFull) => rejected += 1,
-            Err(e) => panic!("unexpected error: {e}"),
-        }
+    let engine = mem_engine(1);
+    let latch = Latch::default();
+    // The one worker runs the latch job first (FIFO) and holds there, so
+    // nothing completes until the latch opens.
+    let mut tokens = vec![engine.submit_job(Priority::ReadAhead, latch.job()).unwrap()];
+    for _ in 1..256 {
+        tokens.push(engine.submit_job(Priority::ReadAhead, ok_job()).unwrap());
     }
-    assert!(rejected > 0, "64 slow jobs into capacity 4 must overflow");
-    engine.wait_idle();
-    let stats = engine.stats();
-    assert_eq!(stats.class(Priority::ReadAhead).rejected, rejected);
-    assert_eq!(stats.class(Priority::ReadAhead).completed, accepted);
+    for _ in 0..10 {
+        assert!(matches!(
+            engine.submit_job(Priority::ReadAhead, ok_job()),
+            Err(EngineError::QueueFull)
+        ));
+    }
+    let index = engine.submit_job(Priority::Index, ok_job()).unwrap();
+    latch.open();
+    index.wait().unwrap();
+    for token in tokens {
+        token.wait().unwrap();
+    }
+    // Completions free the capacity again.
+    engine
+        .submit_job(Priority::ReadAhead, ok_job())
+        .unwrap()
+        .wait()
+        .unwrap();
+    let ra = *engine.stats().class(Priority::ReadAhead);
+    assert_eq!(
+        (ra.submitted, ra.completed, ra.rejected, ra.max_depth),
+        (257, 257, 10, 256)
+    );
 }
 
-/// Shutdown drains everything already admitted — including ops chained
-/// behind busy blocks and pending flush gates — then refuses new work.
+/// Shutdown runs every job already admitted, in every class, then
+/// refuses new work.
 #[test]
-fn shutdown_drains_chains_and_gates() {
-    let device = Arc::new(FaultDevice::new(
-        MemDevice::new(8, 512),
-        FaultConfig {
-            write: OpFault::delay(Duration::from_millis(1)),
-            ..Default::default()
-        },
-    ));
-    let engine = Engine::with_config(
-        Arc::clone(&device) as Arc<dyn BlockDevice>,
-        EngineConfig {
-            workers: 2,
-            ..Default::default()
-        },
-    );
-    // Pile several writes onto the same block (chained) plus a flush gate.
-    let data: Arc<[u8]> = vec![0xC3; 512].into();
-    let mut tokens: Vec<_> = (0..10)
+fn shutdown_drains_admitted_jobs() {
+    let engine = mem_engine(2);
+    let latch = Latch::default();
+    // Two latch jobs hold both workers, so the 40 counting jobs are
+    // still queued when shutdown begins.
+    let mut tokens: Vec<_> = (0..2)
         .map(|_| {
             engine
-                .submit(
-                    Priority::Foreground,
-                    IoOp::Write {
-                        block: 3,
-                        data: Arc::clone(&data),
-                    },
-                )
+                .submit_job(Priority::Foreground, latch.job())
                 .unwrap()
         })
         .collect();
-    tokens.push(engine.flush(Priority::Foreground).unwrap());
-    engine.shutdown();
+    let ran = Arc::new(AtomicUsize::new(0));
+    for i in 0..40 {
+        let ran = Arc::clone(&ran);
+        let job: Job = Box::new(move || {
+            ran.fetch_add(1, Ordering::SeqCst);
+            Ok(())
+        });
+        tokens.push(engine.submit_job(Priority::ALL[i % 4], job).unwrap());
+    }
+    let stopper = {
+        let engine = Arc::clone(&engine);
+        std::thread::spawn(move || engine.shutdown())
+    };
+    while !matches!(
+        engine.submit_job(Priority::Index, ok_job()),
+        Err(EngineError::Shutdown)
+    ) {
+        std::thread::yield_now();
+    }
+    assert_eq!(ran.load(Ordering::SeqCst), 0, "the workers were held");
+    latch.open();
+    stopper.join().unwrap();
+    assert_eq!(ran.load(Ordering::SeqCst), 40);
     for (i, t) in tokens.iter().enumerate() {
-        assert!(t.is_done(), "op {i} abandoned by shutdown");
+        assert!(t.is_done(), "job {i} abandoned by shutdown");
         t.wait().unwrap();
     }
     assert!(matches!(
         engine.read(Priority::Foreground, 0),
-        Err(hfad_engine::EngineError::Shutdown)
+        Err(EngineError::Shutdown)
     ));
 }
 
@@ -359,127 +376,6 @@ fn write_behind_service_keeps_dirty_pages_bounded() {
     assert!(engine.stats().class(Priority::WriteBehind).completed > 0);
     // Written-back data reached the device without any explicit flush.
     assert!(cache.inner().counters().writes >= 168);
-}
-
-fn fast_retry(max_attempts: u32) -> hfad_storage::RetryPolicy {
-    hfad_storage::RetryPolicy {
-        max_attempts,
-        base: Duration::from_micros(50),
-        cap: Duration::from_micros(400),
-    }
-}
-
-/// Transient device faults are absorbed inside the engine: every op
-/// succeeds on its completion token, the retries are visible only in the
-/// `retried` counter, and per-block FIFO ordering survives (the chained
-/// writes to one block land in submission order even when some attempts
-/// fault).
-#[test]
-fn transient_faults_are_retried_invisibly() {
-    let device = Arc::new(FaultDevice::new(
-        MemDevice::new(64, 512),
-        FaultConfig {
-            write: OpFault::transient_every(3),
-            ..Default::default()
-        },
-    ));
-    let engine = Engine::with_config(
-        Arc::clone(&device) as Arc<dyn BlockDevice>,
-        EngineConfig {
-            workers: 2,
-            retry: [fast_retry(5); 4],
-            ..Default::default()
-        },
-    );
-    // 30 sequential writes to one block: a FIFO chain with faults inside.
-    let tokens: Vec<_> = (0..30u8)
-        .map(|i| {
-            let data: Arc<[u8]> = vec![i; 512].into();
-            engine
-                .submit(Priority::Foreground, IoOp::Write { block: 7, data })
-                .unwrap()
-        })
-        .collect();
-    for token in tokens {
-        token.wait().expect("transient faults must be absorbed");
-    }
-    engine.wait_idle();
-    let stats = engine.stats();
-    let fg = stats.class(Priority::Foreground);
-    assert_eq!(fg.failed, 0, "no caller-visible failures");
-    assert_eq!(fg.completed, 30);
-    assert!(fg.retried >= 10, "every 3rd attempt faulted: {fg:?}");
-    assert_eq!(fg.gave_up, 0);
-    // FIFO held: the block's final contents are the last write's.
-    let mut buf = vec![0u8; 512];
-    device.inner().read_block(7, &mut buf).unwrap();
-    assert!(buf.iter().all(|&b| b == 29), "last write wins: {}", buf[0]);
-    let (_, injected, _) = device.injected_errors();
-    assert_eq!(injected, stats.class(Priority::Foreground).retried);
-}
-
-/// A fault that outlives the retry budget surfaces on the token and is
-/// counted as `gave_up`; permanent faults are never retried at all.
-#[test]
-fn retry_budget_exhaustion_and_permanent_faults() {
-    // Every flush fails transiently, forever.
-    let device = Arc::new(FaultDevice::new(
-        MemDevice::new(64, 512),
-        FaultConfig {
-            flush: OpFault::transient_every(1),
-            ..Default::default()
-        },
-    ));
-    let engine = Engine::with_config(
-        Arc::clone(&device) as Arc<dyn BlockDevice>,
-        EngineConfig {
-            workers: 2,
-            retry: [fast_retry(3); 4],
-            ..Default::default()
-        },
-    );
-    let err = engine
-        .flush(Priority::Foreground)
-        .unwrap()
-        .wait()
-        .unwrap_err();
-    assert!(err.is_transient(), "last transient error surfaces: {err}");
-    engine.wait_idle();
-    let fg = *engine.stats().class(Priority::Foreground);
-    assert_eq!(fg.failed, 1);
-    assert_eq!(fg.gave_up, 1);
-    assert_eq!(fg.retried, 2, "3 attempts = 2 retries");
-    drop(engine);
-
-    // Permanent faults fail fast: one attempt, no retries, no gave_up.
-    let device = Arc::new(FaultDevice::new(
-        MemDevice::new(64, 512),
-        FaultConfig {
-            write: OpFault::error_every(1),
-            ..Default::default()
-        },
-    ));
-    let engine = Engine::with_config(
-        Arc::clone(&device) as Arc<dyn BlockDevice>,
-        EngineConfig {
-            workers: 2,
-            retry: [fast_retry(5); 4],
-            ..Default::default()
-        },
-    );
-    let data: Arc<[u8]> = vec![1u8; 512].into();
-    let err = engine
-        .submit(Priority::Foreground, IoOp::Write { block: 0, data })
-        .unwrap()
-        .wait()
-        .unwrap_err();
-    assert!(!err.is_transient());
-    engine.wait_idle();
-    let fg = *engine.stats().class(Priority::Foreground);
-    assert_eq!(fg.failed, 1);
-    assert_eq!(fg.retried, 0);
-    assert_eq!(fg.gave_up, 0);
-    assert_eq!(device.injected_errors().1, 1, "exactly one device attempt");
 }
 
 /// Background-service satellite: errors inside EnginePrefetcher and

@@ -7,7 +7,7 @@
 //! synchronous (eager) indexing.
 //!
 //! The indexer owns no threads: each work item is submitted to a
-//! [`BackgroundExecutor`] (in practice the async I/O engine's `Index`
+//! [`BackgroundExecutor`] (in practice the background-job engine's `Index`
 //! priority class), so indexing shares one scheduler with read-ahead and
 //! write-behind and inherits the executor's bounded admission as its
 //! backpressure.

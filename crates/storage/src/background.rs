@@ -4,7 +4,7 @@
 //! background jobs": lazy index maintenance (`hfad_index`), and the
 //! transactional OSD's watermark checkpointer (`hfad_osd`). Both only
 //! need submit-or-reject semantics, so the trait lives here at the
-//! bottom of the dependency graph; the async I/O engine (`hfad_engine`)
+//! bottom of the dependency graph; the background-job engine (`hfad_engine`)
 //! implements it and maps each consumer onto one of its priority
 //! classes (index maintenance → `Index`, checkpoint drains →
 //! `WriteBehind`), giving every deferred byte one scheduler and one
@@ -12,7 +12,7 @@
 
 /// An executor that runs opaque background jobs with bounded admission.
 ///
-/// Implemented by the async I/O engine (`hfad_engine`); consumers in
+/// Implemented by the background-job engine (`hfad_engine`); consumers in
 /// `hfad_index` (lazy indexing) and `hfad_osd` (the journal
 /// checkpointer) only see this trait, so they never depend on the
 /// engine crate.

@@ -457,8 +457,8 @@ pub struct FaultConfig {
 /// latency ([`flush_delay`](Self::flush_delay)) and the slow-read and
 /// gated-read devices of the cache tests. Injected errors fire *before*
 /// the wrapped device is touched, so a failed operation has no side effects — which is what
-/// lets the async-engine tests assert that a faulted submission surfaces
-/// on its completion token while the device state stays explainable.
+/// lets the engine tests assert that a faulted read surfaces on its
+/// completion token while the device state stays explainable.
 ///
 /// The configuration is runtime-mutable
 /// ([`set_config`](Self::set_config)): a chaos harness can run a healthy

@@ -25,7 +25,7 @@
 //!   transactional OSD: wrap-around append with O(1) incremental
 //!   reclaim of checkpointed extents.
 //! * [`background`] — the [`background::BackgroundExecutor`] trait
-//!   implemented by the async I/O engine and consumed by lazy indexing
+//!   implemented by the background-job engine and consumed by lazy indexing
 //!   and the journal checkpointer.
 //! * [`group_commit`] — the batched commit pipeline over the journal:
 //!   concurrent committers share one contiguous append and one flush.

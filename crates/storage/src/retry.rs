@@ -8,7 +8,7 @@
 //! classification lives on the error ([`StorageError::is_transient`]),
 //! the persistence lives here.
 //!
-//! The same policy type parameterises the engine's per-class completion
+//! The same policy type parameterises the block cache's read-fill
 //! retry, the group-commit leader's batch retry, and the background
 //! checkpointer's degradation countdown, so one knob shape covers every
 //! retry site in the stack.

@@ -11,8 +11,8 @@
 //! * [`index`] — the extensible index stores.
 //! * [`btree`] — the B+tree substrate.
 //! * [`storage`] — devices, allocators, extents, journal.
-//! * [`engine`] — the async I/O engine (submission/completion queues,
-//!   priority scheduler, read-ahead/write-behind/lazy-index services).
+//! * [`engine`] — the background-job engine (priority job scheduler,
+//!   read-ahead/write-behind/lazy-index services).
 //! * [`hierfs`] — the hierarchical baseline used in experiments.
 //! * [`workload`] — synthetic corpora and distributions.
 
