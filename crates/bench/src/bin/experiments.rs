@@ -78,7 +78,7 @@ fn main() -> ExitCode {
         println!("{}", table.render());
     }
     if json {
-        match serde_json::to_string_pretty(&tables) {
+        match hfad_bench::results::tables_to_json(&tables) {
             Ok(payload) => println!("{payload}"),
             Err(err) => {
                 eprintln!("failed to serialise results: {err}");
@@ -93,7 +93,7 @@ fn main() -> ExitCode {
         }
         for table in &tables {
             let path = format!("{}/BENCH_{}.json", dir.trim_end_matches('/'), table.id);
-            let payload = match serde_json::to_string_pretty(table) {
+            let payload = match table.to_json() {
                 Ok(payload) => payload,
                 Err(err) => {
                     eprintln!("failed to serialise {}: {err}", table.id);

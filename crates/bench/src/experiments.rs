@@ -23,7 +23,7 @@ use crate::results::{ops_per_sec, us, Table};
 use crate::setup::{build_hfad, build_hierfs, build_posix};
 
 /// Experiment scale: `Quick` keeps every run under a few seconds (used by
-/// the criterion benches and CI); `Full` uses the sizes reported in
+/// the self-tests and CI); `Full` uses the sizes reported in
 /// `EXPERIMENTS.md`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Scale {

@@ -15,8 +15,8 @@ use hfad_workload::Item;
 pub const DEFAULT_CAPACITY: u64 = 512 * 1024 * 1024;
 
 /// One create+delete per this many operations in [`store_churn_op`]; the
-/// rest are opens. Keeping the ratio in one place guarantees the E2/E6
-/// experiment tables and the criterion benches measure the same mix.
+/// rest are opens. Keeping the ratio in one place guarantees the E2 and
+/// E6 experiment tables measure the same mix.
 pub const STORE_CHURN_EVERY: usize = 32;
 
 /// Builds a raw [`ObjectStore`] with `shards` lock shards (0 = auto) and a

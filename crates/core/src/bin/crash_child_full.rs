@@ -115,7 +115,7 @@ fn workload(args: &[String]) {
     let oids: Vec<u64> = args[2..].iter().map(|a| a.parse().expect("oid")).collect();
     // The full stack: recovery runs first, then assemble attaches the
     // engine, caches and the background checkpointer (scheduled through
-    // the engine's WriteBehind class) — exactly the writer a defaults-on
+    // the engine's Checkpoint class) — exactly the writer a defaults-on
     // application gets.
     let (fs, _replayed) = Hfad::open_file(&store_path, full_stack_config()).expect("open store");
     let ts = fs.txn_store().expect("transactional store");

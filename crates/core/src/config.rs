@@ -21,13 +21,13 @@ pub enum IndexingMode {
 /// Configuration for [`Hfad`](crate::fs::Hfad).
 ///
 /// There is one stack: the background-job engine carries every
-/// background service (read-ahead, lazy indexing, checkpoint drains, and
-/// — on an in-memory cached store — dirty-page write-behind), the block
-/// cache is fronted by a decoded-node cache a quarter its size, and a
-/// transactional store always runs the watermark checkpointer. Ablation
-/// baselines (other allocators, shard counts, extent sizes, group-commit
-/// policies, engine worker counts) are built at their own layer from
-/// [`StoreConfig`], [`GroupCommitConfig`] and `hfad_engine::Engine::with_workers`.
+/// background service (read-ahead, lazy indexing, checkpoint drains),
+/// the block cache is fronted by a decoded-node cache a quarter its
+/// size, and a transactional store always runs the watermark
+/// checkpointer. Ablation baselines (other allocators, shard counts,
+/// extent sizes, group-commit policies, engine worker counts) are built
+/// at their own layer from [`StoreConfig`], [`GroupCommitConfig`] and
+/// `hfad_engine::Engine::with_workers`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct HfadConfig {
     /// Blocks reserved for the write-ahead journal. `0` gives an

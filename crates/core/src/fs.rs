@@ -9,9 +9,7 @@
 use std::sync::Arc;
 
 use hfad_btree::TreeContext;
-use hfad_engine::{
-    Engine, EnginePrefetcher, EngineStats, Priority, WriteBehind, WriteBehindConfig,
-};
+use hfad_engine::{Engine, EnginePrefetcher, EngineStats, Priority};
 use hfad_index::{
     FullTextIndex, IndexRegistry, IndexStats, IndexStore, KeyValueIndex, LazyIndexer, Query, Tag,
     TagValue,
@@ -63,9 +61,6 @@ pub struct Hfad {
     /// Declared before `lazy`, `txn` and `engine` so drop stops the
     /// monitor first.
     pub(crate) checkpointer: parking_lot::Mutex<Option<Checkpointer>>,
-    /// Dirty-page trickle flusher (in-memory cached stores only).
-    /// Dropped before the engine it submits to.
-    pub(crate) write_behind: Option<WriteBehind>,
     pub(crate) lazy: Option<LazyIndexer>,
     pub(crate) config: HfadConfig,
     /// Lazily built, shared transactional wrapper — see
@@ -151,7 +146,7 @@ impl Hfad {
     /// multi-process lock for the handle's lifetime.
     ///
     /// Reader mode deliberately spins up **no background services** —
-    /// no engine, no write-behind, no checkpointer, no indices: a reader
+    /// no engine, no read-ahead, no checkpointer, no indices: a reader
     /// must never write to the store file, and every one of those
     /// services exists to produce or schedule writes. The returned
     /// handle is the bare [`ObjectStore`]; reads go straight through its
@@ -191,24 +186,11 @@ impl Hfad {
             None => Arc::clone(&store.context().device),
         };
         let engine = Engine::new(raw);
-        let write_behind = store.block_cache().and_then(|cache| {
+        if let Some(cache) = store.block_cache() {
             // Sequential-run detection in the cache feeds ReadAhead-class
             // prefetch jobs.
             EnginePrefetcher::attach(Arc::clone(&engine), cache, 32, 2);
-            // No trickle flusher on a persistent store: its cache runs
-            // retain-dirty, where home pages are written only by
-            // doublewrite-protected checkpoint installs. Write-behind
-            // would find nothing flushable and only spin, and any page it
-            // *could* push would bypass the torn-page protection the
-            // checkpoint path provides.
-            (!store.superblock().is_persistent()).then(|| {
-                WriteBehind::start(
-                    Arc::clone(&engine),
-                    Arc::clone(cache),
-                    WriteBehindConfig::default(),
-                )
-            })
-        });
+        }
         // Indices are volatile: `assemble` rebuilds them empty on every
         // open. On a persistent store they therefore must not allocate
         // from the durable data area — every block a B-tree takes there
@@ -262,7 +244,6 @@ impl Hfad {
             registry,
             fulltext,
             checkpointer: parking_lot::Mutex::new(None),
-            write_behind,
             lazy,
             config,
             txn: parking_lot::Mutex::new(txn.clone()),
@@ -279,11 +260,11 @@ impl Hfad {
     }
 
     /// Starts the watermark checkpointer over `ts`, its drains scheduled
-    /// through the engine's `WriteBehind` class.
+    /// through the engine's `Checkpoint` class.
     fn start_checkpointer(&self, ts: Arc<hfad_osd::TxnStore>) {
         *self.checkpointer.lock() = Some(Checkpointer::start(
             ts,
-            Some(self.engine.executor(Priority::WriteBehind)),
+            Some(self.engine.executor(Priority::Checkpoint)),
             self.config.checkpoint_config(),
         ));
     }
@@ -323,7 +304,7 @@ impl Hfad {
     /// reclaim runs off size/age watermarks, a full ring becomes brief
     /// backpressure on committers instead of a stop-the-world stall, and
     /// the checkpoint drain is scheduled through the engine's
-    /// `WriteBehind` class alongside dirty-page writeback.
+    /// `Checkpoint` class.
     pub fn txn_store(&self) -> Result<Arc<hfad_osd::TxnStore>> {
         let mut slot = self.txn.lock();
         if let Some(ts) = slot.as_ref() {
@@ -362,12 +343,6 @@ impl Hfad {
     /// The background-job engine.
     pub fn engine(&self) -> &Arc<Engine> {
         &self.engine
-    }
-
-    /// Whether the dirty-page trickle flusher is running (an in-memory
-    /// store with a block cache).
-    pub fn write_behind_active(&self) -> bool {
-        self.write_behind.is_some()
     }
 
     /// The index registry (exposed so plug-in index stores can be
@@ -484,7 +459,6 @@ impl Drop for Hfad {
         // from a surviving store handle) fail gracefully with
         // `EngineError::Shutdown` and are dropped.
         self.checkpointer.lock().take();
-        self.write_behind.take();
         self.lazy.take();
         // Dropping the last txn handle runs the persistent store's final
         // checkpoint (synchronous, engine-free), making the close clean.
@@ -509,10 +483,6 @@ mod tests {
     #[test]
     fn default_configuration_runs_the_full_stack_in_memory() {
         let fs = Hfad::in_memory(16 * 1024 * 1024, HfadConfig::default()).unwrap();
-        assert!(
-            fs.write_behind_active(),
-            "in-memory defaults trickle-flush the cache"
-        );
         assert!(
             fs.store().block_cache().is_some(),
             "the block cache defaults on"
@@ -597,7 +567,7 @@ mod tests {
 
     #[test]
     fn engine_default_path_routes_background_work_through_the_engine() {
-        // Engine + cache + write-behind + lazy indexing: the full routed
+        // Engine + cache + lazy indexing: the full routed
         // configuration. Foreground semantics must be unchanged and the
         // engine must actually see jobs.
         let fs = Hfad::in_memory(
@@ -608,7 +578,6 @@ mod tests {
             },
         )
         .unwrap();
-        assert!(fs.write_behind_active());
         let oid = fs.create(&[]).unwrap();
         fs.write(oid, 0, b"the quick brown fox").unwrap();
         assert_eq!(fs.read(oid, 4, 5).unwrap(), b"quick".to_vec());
@@ -706,11 +675,10 @@ mod tests {
     }
 
     #[test]
-    fn file_backed_defaults_run_the_engine_but_not_write_behind() {
+    fn file_backed_defaults_checkpoint_committed_bytes() {
         // Persistent stores retain dirty pages for doublewrite-protected
-        // checkpoint installs; a trickle flusher would either spin on a
-        // cache it cannot drain or bypass the torn-page protection. The
-        // engine (read-ahead, checkpoint scheduling) still runs.
+        // checkpoint installs; committed bytes reach the file through
+        // those installs and read back after a reopen.
         let path = scratch_file("defaults_on_file.hfad");
         let config = HfadConfig {
             journal_blocks: 64,
@@ -719,10 +687,6 @@ mod tests {
         };
         let oid = {
             let fs = Hfad::create_file(&path, 8 << 20, config).unwrap();
-            assert!(
-                !fs.write_behind_active(),
-                "write-behind must be skipped on a retain-dirty persistent store"
-            );
             let ts = fs.txn_store().unwrap();
             let mut txn = ts.begin();
             let oid = txn
@@ -733,7 +697,6 @@ mod tests {
             oid
         };
         let (fs, _) = Hfad::open_file(&path, config).unwrap();
-        assert!(!fs.write_behind_active());
         assert_eq!(
             fs.read(oid, 0, 100).unwrap(),
             b"checkpointed, not trickled".to_vec()

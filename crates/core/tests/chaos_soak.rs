@@ -3,7 +3,7 @@
 //! The crash harnesses (`crash_harness_full.rs` and the OSD one) torture
 //! the store by killing the process; this soak tortures it while it keeps
 //! running. Each trial assembles the full default configuration — the
-//! engine, both cache tiers, write-behind, the watermark checkpointer —
+//! engine, both cache tiers, read-ahead, the watermark checkpointer —
 //! over a [`FaultDevice`] whose fault configuration is flipped **on the
 //! live device** mid-run:
 //!

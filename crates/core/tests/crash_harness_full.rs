@@ -6,7 +6,7 @@
 //! default configuration instead — the SIGKILLed child is a
 //! `Hfad::open_file` writer with the async engine, both cache tiers
 //! and the watermark checkpointer (scheduled through the
-//! engine's `WriteBehind` class) all live — so kills land mid-engine-job
+//! engine's `Checkpoint` class) all live — so kills land mid-engine-job
 //! and mid-background-checkpoint, not just mid-commit. Recovery in the
 //! parent also runs through the full stack, and each trial's clean close
 //! exercises the ordered `Drop for Hfad` (services first, engine

@@ -23,7 +23,7 @@ const AGING: Duration = Duration::from_millis(5);
 /// [`Priority::ReadAhead`], which rejects (see [`Engine::submit_job`]).
 const CAPACITY: [usize; 4] = [
     4096, // Foreground never sheds load; callers would just retry.
-    1024, // Write-behind backpressure keeps dirty pages bounded.
+    1024, // Checkpoint drains: the checkpointer keeps at most one in flight.
     256,  // Speculative prefetch is the first thing to drop.
     1024, // Lazy indexing blocks its producer (bounded backlog).
 ];
@@ -165,9 +165,9 @@ impl Engine {
     ///
     /// Lazy indexing rides [`Priority::Index`], bounded by that class's
     /// admission control; the OSD's journal checkpointer drains through
-    /// [`Priority::WriteBehind`], so checkpoint I/O is scheduled (and
-    /// admission-bounded) exactly like dirty-page writeback rather than
-    /// competing with foreground work.
+    /// [`Priority::Checkpoint`], so checkpoint I/O is scheduled (and
+    /// admission-bounded) below foreground work rather than competing
+    /// with it.
     pub fn executor(self: &Arc<Engine>, class: Priority) -> Arc<dyn BackgroundExecutor> {
         Arc::new(ClassExecutor {
             engine: Arc::clone(self),

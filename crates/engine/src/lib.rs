@@ -18,12 +18,10 @@
 //!   reads one block of the engine's device and delivers the bytes.
 //! * [`EnginePrefetcher`] — bridges the block cache's sequential-run
 //!   detector to [`Priority::ReadAhead`] prefetch jobs.
-//! * [`WriteBehind`] — watermark-driven dirty-page trickle flusher at
-//!   [`Priority::WriteBehind`].
 //! * [`Engine::executor`] hands out a
 //!   [`BackgroundExecutor`](hfad_storage::BackgroundExecutor) pinned to
 //!   one class: lazy indexing rides [`Priority::Index`] and journal
-//!   checkpoints [`Priority::WriteBehind`], each with bounded
+//!   checkpoints [`Priority::Checkpoint`], each with bounded
 //!   backpressure.
 //!
 //! Experiment E10 (`hfad_bench`) measures the engine's services: cold
@@ -40,5 +38,5 @@ pub mod stats;
 pub use engine::Engine;
 pub use error::{EngineError, Result};
 pub use op::{Completion, CompletionResult, Priority};
-pub use services::{EnginePrefetcher, WriteBehind, WriteBehindConfig};
+pub use services::EnginePrefetcher;
 pub use stats::{ClassStats, EngineStats};

@@ -14,8 +14,9 @@ use crate::error::EngineError;
 pub enum Priority {
     /// Latency-sensitive work a caller is waiting on.
     Foreground = 0,
-    /// Dirty-page trickle flushing ahead of eviction pressure.
-    WriteBehind = 1,
+    /// Journal checkpoint drains: installing committed pages so the
+    /// journal ring can be reclaimed.
+    Checkpoint = 1,
     /// Speculative sequential prefetch; cheapest to shed under load.
     ReadAhead = 2,
     /// Lazy full-text indexing and other deferred maintenance.
@@ -26,7 +27,7 @@ impl Priority {
     /// All classes, highest priority first.
     pub const ALL: [Priority; 4] = [
         Priority::Foreground,
-        Priority::WriteBehind,
+        Priority::Checkpoint,
         Priority::ReadAhead,
         Priority::Index,
     ];
@@ -40,7 +41,7 @@ impl Priority {
     pub fn name(self) -> &'static str {
         match self {
             Priority::Foreground => "foreground",
-            Priority::WriteBehind => "write-behind",
+            Priority::Checkpoint => "checkpoint",
             Priority::ReadAhead => "read-ahead",
             Priority::Index => "index",
         }

@@ -6,9 +6,7 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
-use hfad_engine::{
-    Engine, EngineError, EnginePrefetcher, Priority, WriteBehind, WriteBehindConfig,
-};
+use hfad_engine::{Engine, EngineError, EnginePrefetcher, Priority};
 use hfad_storage::{
     BlockDevice, CachedDevice, FaultConfig, FaultDevice, MemDevice, OpFault, StorageError,
 };
@@ -115,12 +113,12 @@ fn foreground_overtakes_readahead_backlog() {
 fn aging_bounds_index_latency_with_all_classes_loaded() {
     let engine = mem_engine(1);
     // Sustained floods: Foreground refills faster than service drains it,
-    // with WriteBehind and ReadAhead load mixed in.
+    // with Checkpoint and ReadAhead load mixed in.
     let stop = Arc::new(AtomicBool::new(false));
     let mut flooders = Vec::new();
     for class in [
         Priority::Foreground,
-        Priority::WriteBehind,
+        Priority::Checkpoint,
         Priority::ReadAhead,
     ] {
         let engine = Arc::clone(&engine);
@@ -344,82 +342,10 @@ fn readahead_service_feeds_sequential_scan() {
     assert!(engine.stats().class(Priority::ReadAhead).completed > 0);
 }
 
-/// End to end: the write-behind service trickles dirty pages down below
-/// the watermark without an explicit flush.
-#[test]
-fn write_behind_service_keeps_dirty_pages_bounded() {
-    let cache = Arc::new(CachedDevice::new(MemDevice::new(256, 512), 256));
-    let engine = mem_engine(2);
-    let mut flusher = WriteBehind::start(
-        Arc::clone(&engine),
-        Arc::clone(&cache),
-        WriteBehindConfig {
-            high_watermark: 32,
-            batch: 16,
-            interval: Duration::from_micros(200),
-        },
-    );
-
-    let data = vec![0x11u8; 512];
-    for block in 0..200 {
-        cache.write_block(block, &data).unwrap();
-    }
-    // The trickle must bring the dirty count down to the watermark band
-    // without any caller-issued flush.
-    let deadline = Instant::now() + Duration::from_secs(5);
-    while cache.dirty_blocks() > 32 {
-        assert!(Instant::now() < deadline, "write-behind never caught up");
-        std::thread::sleep(Duration::from_millis(1));
-    }
-    flusher.stop();
-    engine.wait_idle();
-    assert!(engine.stats().class(Priority::WriteBehind).completed > 0);
-    // Written-back data reached the device without any explicit flush.
-    assert!(cache.inner().counters().writes >= 168);
-}
-
-/// Background-service satellite: errors inside EnginePrefetcher and
-/// WriteBehind jobs do not vanish — they land in the class's `failed`
-/// counter while the services keep running.
+/// Errors inside EnginePrefetcher jobs do not vanish — they land in the
+/// ReadAhead class's `failed` counter while prefetch keeps running.
 #[test]
 fn background_service_errors_are_counted_not_swallowed() {
-    // Write-behind over a device whose every 3rd write fails permanently:
-    // batches fail, the monitor keeps trickling, failures are counted.
-    let faulty = FaultDevice::new(
-        MemDevice::new(256, 512),
-        FaultConfig {
-            write: OpFault::error_every(3),
-            ..Default::default()
-        },
-    );
-    let cache = Arc::new(CachedDevice::new(faulty, 256));
-    let engine = mem_engine(2);
-    let mut flusher = WriteBehind::start(
-        Arc::clone(&engine),
-        Arc::clone(&cache),
-        WriteBehindConfig {
-            high_watermark: 16,
-            batch: 8,
-            interval: Duration::from_micros(200),
-        },
-    );
-    let data = vec![0x3Cu8; 512];
-    for block in 0..200 {
-        cache.write_block(block, &data).unwrap();
-    }
-    let deadline = Instant::now() + Duration::from_secs(10);
-    while engine.stats().class(Priority::WriteBehind).failed == 0 {
-        assert!(
-            Instant::now() < deadline,
-            "write-behind failures never surfaced in stats"
-        );
-        std::thread::sleep(Duration::from_millis(1));
-    }
-    flusher.stop();
-    engine.wait_idle();
-    let wb = *engine.stats().class(Priority::WriteBehind);
-    assert!(wb.failed > 0, "writeback faults must be counted: {wb:?}");
-
     // Read-ahead over a device whose every 5th read fails: populate jobs
     // hit the fault and the failure is counted at the ReadAhead class.
     let faulty = FaultDevice::new(

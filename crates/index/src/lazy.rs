@@ -9,11 +9,11 @@
 //! The indexer owns no threads: each work item is submitted to a
 //! [`BackgroundExecutor`] (in practice the background-job engine's `Index`
 //! priority class), so indexing shares one scheduler with read-ahead and
-//! write-behind and inherits the executor's bounded admission as its
-//! backpressure.
+//! checkpoint drains and inherits the executor's bounded admission as
+//! its backpressure.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Condvar, Mutex};
 
 use hfad_osd::ObjectId;
 use hfad_storage::{BackgroundExecutor, SubmitError};
@@ -41,6 +41,34 @@ pub struct LazyStats {
     pub rejected: u64,
 }
 
+/// Items submitted but not yet processed, and the condvar `drain` waits
+/// on for the count to reach zero.
+#[derive(Default)]
+struct Pending {
+    count: Mutex<u64>,
+    idle: Condvar,
+}
+
+impl Pending {
+    fn lock(&self) -> std::sync::MutexGuard<'_, u64> {
+        self.count
+            .lock()
+            .expect("no thread panics while holding the pending count")
+    }
+
+    fn add(&self) {
+        *self.lock() += 1;
+    }
+
+    fn done(&self) {
+        let mut count = self.lock();
+        *count -= 1;
+        if *count == 0 {
+            self.idle.notify_all();
+        }
+    }
+}
+
 /// Background lazy indexing over a shared [`FullTextIndex`].
 pub struct LazyIndexer {
     index: Arc<FullTextIndex>,
@@ -50,6 +78,7 @@ pub struct LazyIndexer {
     rejected: AtomicU64,
     completed: Arc<AtomicU64>,
     failed: Arc<AtomicU64>,
+    pending: Arc<Pending>,
 }
 
 impl LazyIndexer {
@@ -66,6 +95,7 @@ impl LazyIndexer {
             rejected: AtomicU64::new(0),
             completed: Arc::new(AtomicU64::new(0)),
             failed: Arc::new(AtomicU64::new(0)),
+            pending: Arc::default(),
         }
     }
 
@@ -77,6 +107,10 @@ impl LazyIndexer {
     /// Submits one work item to the executor, keeping the accounting
     /// invariant: exactly one of `enqueued`/`rejected` grows per accepted
     /// or refused call.
+    ///
+    /// The item counts as pending before it is submitted, because the job
+    /// may run (and finish) before `submit_background` returns; a refused
+    /// item is uncounted again.
     fn dispatch(&self, item: WorkItem) -> Result<()> {
         if self.stopped.load(Ordering::Acquire) {
             return Err(IndexError::IndexerStopped);
@@ -84,6 +118,7 @@ impl LazyIndexer {
         let index = Arc::clone(&self.index);
         let completed = Arc::clone(&self.completed);
         let failed = Arc::clone(&self.failed);
+        let pending = Arc::clone(&self.pending);
         let job: Box<dyn FnOnce() + Send> = Box::new(move || {
             let outcome = match item {
                 WorkItem::Index { oid, text } => index.index_document(oid, &text).map(|_| ()),
@@ -93,13 +128,18 @@ impl LazyIndexer {
                 Ok(()) => completed.fetch_add(1, Ordering::Relaxed),
                 Err(_) => failed.fetch_add(1, Ordering::Relaxed),
             };
+            pending.done();
         });
-        self.executor.submit_background(job).map_err(|e| match e {
-            SubmitError::Full => {
-                self.rejected.fetch_add(1, Ordering::Relaxed);
-                IndexError::QueueFull
+        self.pending.add();
+        self.executor.submit_background(job).map_err(|e| {
+            self.pending.done();
+            match e {
+                SubmitError::Full => {
+                    self.rejected.fetch_add(1, Ordering::Relaxed);
+                    IndexError::QueueFull
+                }
+                SubmitError::Stopped => IndexError::IndexerStopped,
             }
-            SubmitError::Stopped => IndexError::IndexerStopped,
         })?;
         self.enqueued.fetch_add(1, Ordering::Relaxed);
         Ok(())
@@ -119,17 +159,16 @@ impl LazyIndexer {
         self.dispatch(WorkItem::Remove { oid })
     }
 
-    /// Number of items accepted but not yet processed.
+    /// Number of items submitted but not yet processed.
     pub fn backlog(&self) -> u64 {
-        let s = self.stats();
-        s.enqueued - s.completed - s.failed
+        *self.pending.lock()
     }
 
     /// Blocks until every item enqueued so far has been processed.
     pub fn drain(&self) {
-        while self.backlog() > 0 {
-            std::thread::yield_now();
-        }
+        let count = self.pending.lock();
+        let idle = self.pending.idle.wait_while(count, |n| *n > 0);
+        drop(idle.expect("no thread panics while holding the pending count"));
     }
 
     /// Progress counters.
@@ -304,6 +343,45 @@ mod tests {
             indexer.enqueue(ObjectId(3), "after stop"),
             Err(IndexError::IndexerStopped)
         ));
+    }
+
+    /// Executor that runs each job inline and then samples the indexer's
+    /// backlog before `submit_background` returns.
+    #[derive(Default)]
+    struct InlineProbeExecutor {
+        indexer: std::sync::OnceLock<std::sync::Weak<LazyIndexer>>,
+        seen: parking_lot::Mutex<Vec<u64>>,
+    }
+
+    impl BackgroundExecutor for InlineProbeExecutor {
+        fn submit_background(
+            &self,
+            job: Box<dyn FnOnce() + Send>,
+        ) -> std::result::Result<(), SubmitError> {
+            job();
+            if let Some(indexer) = self.indexer.get().and_then(|w| w.upgrade()) {
+                self.seen.lock().push(indexer.backlog());
+            }
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn backlog_never_underflows_when_a_job_finishes_before_submit_returns() {
+        let executor = Arc::new(InlineProbeExecutor::default());
+        let indexer = Arc::new(LazyIndexer::with_executor(
+            fulltext(),
+            Arc::clone(&executor) as Arc<dyn BackgroundExecutor>,
+        ));
+        executor.indexer.set(Arc::downgrade(&indexer)).unwrap();
+        for i in 0..3u64 {
+            indexer.enqueue(ObjectId(i), "inline job").unwrap();
+        }
+        assert_eq!(*executor.seen.lock(), vec![0, 0, 0]);
+        assert_eq!(indexer.backlog(), 0);
+        indexer.drain();
+        let stats = indexer.stats();
+        assert_eq!((stats.enqueued, stats.completed), (3, 3));
     }
 
     #[test]

@@ -13,9 +13,9 @@
 //!
 //! The checkpoint itself — the store flush, the expensive part — can be
 //! handed to a [`BackgroundExecutor`]. When the executor is the async
-//! I/O engine, the checkpointer submits at its `WriteBehind` class, so
-//! checkpoint drains are scheduled and admission-bounded exactly like
-//! dirty-page writeback instead of competing with foreground I/O. The
+//! I/O engine, the checkpointer submits at its `Checkpoint` class, so
+//! checkpoint drains are scheduled and admission-bounded below
+//! foreground work instead of competing with it. The
 //! monitor always waits for the submitted job to finish before arming
 //! the next trigger, so at most one checkpoint is in flight.
 
@@ -79,8 +79,8 @@ pub struct Checkpointer {
 
 impl Checkpointer {
     /// Starts the monitor. `executor` is where the checkpoint body runs:
-    /// pass the engine's `WriteBehind`-class executor to schedule drains
-    /// with dirty-page writeback, or `None` to run them on the monitor
+    /// pass the engine's `Checkpoint`-class executor to schedule drains
+    /// below foreground work, or `None` to run them on the monitor
     /// thread directly.
     pub fn start(
         txn_store: Arc<TxnStore>,

@@ -16,7 +16,7 @@
 //! rules that make it crash-safe:
 //!
 //! * **Home pages are only written by checkpoints.** The block cache runs
-//!   in retain-dirty mode: eviction, flush and write-behind never push a
+//!   in retain-dirty mode: neither eviction nor flush pushes a
 //!   dirty page to its home address. Between checkpoints the file holds
 //!   exactly the page set of the last checkpoint.
 //! * **Commits are journal-only I/O.** A commit appends redo records to

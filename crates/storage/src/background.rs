@@ -7,7 +7,7 @@
 //! bottom of the dependency graph; the background-job engine (`hfad_engine`)
 //! implements it and maps each consumer onto one of its priority
 //! classes (index maintenance → `Index`, checkpoint drains →
-//! `WriteBehind`), giving every deferred byte one scheduler and one
+//! `Checkpoint`), giving every deferred byte one scheduler and one
 //! admission-control story.
 
 /// An executor that runs opaque background jobs with bounded admission.

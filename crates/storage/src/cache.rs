@@ -260,7 +260,7 @@ pub struct CachedDevice<D: BlockDevice> {
     /// delegated to the attached [`PrefetchSink`].
     read_ahead: parking_lot::RwLock<Option<Arc<ReadAhead>>>,
     /// Retain-dirty mode (persistent stores): dirty frames are never
-    /// written to their home addresses by eviction, flush or trickle —
+    /// written to their home addresses by eviction or flush —
     /// only an explicit checkpoint, which stages them through the
     /// doublewrite region first, may install them. See
     /// [`set_retain_dirty`](Self::set_retain_dirty).
@@ -334,10 +334,9 @@ impl<D: BlockDevice> CachedDevice<D> {
     ///
     /// In retain-dirty mode the cache never writes a dirty frame to its
     /// home address on its own: eviction skips dirty frames (admitting
-    /// over budget if nothing clean is evictable),
-    /// [`flush`](BlockDevice::flush) only flushes the underlying device,
-    /// and [`writeback_some`](Self::writeback_some) is a no-op. A
-    /// persistent store's checkpoint instead drains the dirty set with
+    /// over budget if nothing clean is evictable) and
+    /// [`flush`](BlockDevice::flush) only flushes the underlying device.
+    /// A persistent store's checkpoint instead drains the dirty set with
     /// [`collect_dirty`](Self::collect_dirty), stages it through the
     /// doublewrite region, installs it, and calls
     /// [`mark_clean_if_unchanged`](Self::mark_clean_if_unchanged) — the
@@ -530,70 +529,6 @@ impl<D: BlockDevice> CachedDevice<D> {
     /// touching a shard lock.
     pub fn dirty_blocks(&self) -> usize {
         self.dirty_count.load(Ordering::Acquire)
-    }
-
-    /// Writes back up to `max` dirty frames (oldest slots first within
-    /// each shard), leaving them cached and clean, without flushing the
-    /// underlying device. Returns the number written back.
-    ///
-    /// This is the write-behind trickle primitive: a background flusher
-    /// calls it in small batches so a later [`flush`](BlockDevice::flush)
-    /// finds most frames already clean. Uses the same pin protocol as
-    /// `flush`, so it cannot race an eviction write-back of the same
-    /// block, and a frame re-dirtied mid-write-back stays dirty.
-    pub fn writeback_some(&self, max: usize) -> Result<usize> {
-        if self.retain_dirty() {
-            // Dirty frames only reach the device through a checkpoint.
-            return Ok(0);
-        }
-        let mut remaining = max;
-        for shard in self.shards.iter() {
-            if remaining == 0 {
-                break;
-            }
-            let mut guard = shard.lock();
-            let mut batch: Vec<(usize, u64, Arc<[u8]>)> = Vec::new();
-            for (slot, frame) in guard.slots.iter_mut().enumerate() {
-                if batch.len() >= remaining {
-                    break;
-                }
-                if let Some(frame) = frame {
-                    if frame.dirty && !frame.pinned {
-                        frame.dirty = false;
-                        self.dirty_count.fetch_sub(1, Ordering::AcqRel);
-                        frame.pinned = true;
-                        batch.push((slot, frame.block, Arc::clone(&frame.data)));
-                    }
-                }
-            }
-            drop(guard);
-
-            let mut written = 0usize;
-            let mut result = Ok(());
-            for (_, block, data) in &batch {
-                if let Err(e) = self.inner.write_block(*block, data) {
-                    result = Err(e);
-                    break;
-                }
-                written += 1;
-            }
-
-            let mut guard = shard.lock();
-            guard.stats.writebacks += written as u64;
-            for (i, (slot, _, _)) in batch.iter().enumerate() {
-                if let Some(frame) = guard.slots[*slot].as_mut() {
-                    frame.pinned = false;
-                    if i >= written && !frame.dirty {
-                        frame.dirty = true;
-                        self.dirty_count.fetch_add(1, Ordering::AcqRel);
-                    }
-                }
-            }
-            drop(guard);
-            result?;
-            remaining -= written;
-        }
-        Ok(max - remaining)
     }
 
     /// Number of lock shards the cache is striped over.
@@ -1411,55 +1346,14 @@ mod tests {
     }
 
     #[test]
-    fn writeback_some_trickles_and_flush_finds_clean_pages() {
-        let dev = make(32);
-        for b in 0..10u64 {
-            dev.write_block(b, &[b as u8; 128]).unwrap();
-        }
-        assert_eq!(dev.dirty_blocks(), 10);
-        let written = dev.writeback_some(4).unwrap();
-        assert_eq!(written, 4);
-        assert_eq!(dev.dirty_blocks(), 6);
-        // Drain the rest in batches; frames stay cached (no evictions).
-        while dev.dirty_blocks() > 0 {
-            assert!(dev.writeback_some(3).unwrap() > 0);
-        }
-        assert_eq!(dev.cache_stats().evictions, 0);
-        // The final flush has nothing left to write.
-        let writes_before = dev.counters().writes;
-        dev.flush().unwrap();
-        assert_eq!(dev.counters().writes, writes_before);
-        // And the device holds every value.
-        let mut out = vec![0u8; 128];
-        for b in 0..10u64 {
-            dev.inner().read_block(b, &mut out).unwrap();
-            assert!(out.iter().all(|&x| x == b as u8), "block {b}");
-        }
-    }
-
-    #[test]
-    fn writeback_some_redirty_during_writeback_stays_dirty() {
-        let dev = make(8);
-        dev.write_block(0, &[1u8; 128]).unwrap();
-        assert_eq!(dev.writeback_some(8).unwrap(), 1);
-        dev.write_block(0, &[2u8; 128]).unwrap();
-        assert_eq!(dev.dirty_blocks(), 1);
-        dev.flush().unwrap();
-        let mut out = vec![0u8; 128];
-        dev.inner().read_block(0, &mut out).unwrap();
-        assert!(out.iter().all(|&b| b == 2));
-    }
-
-    #[test]
     fn retain_dirty_holds_pages_until_checkpoint_drains_them() {
         let dev = make(8);
         dev.set_retain_dirty(true);
         for b in 0..4u64 {
             dev.write_block(b, &[b as u8 + 1; 128]).unwrap();
         }
-        // Neither flush nor trickle writes a home page.
+        // Flush writes no home page.
         dev.flush().unwrap();
-        assert_eq!(dev.writeback_some(16).unwrap(), 0);
         assert_eq!(dev.counters().writes, 0);
         assert_eq!(dev.dirty_blocks(), 4);
         // The checkpoint path: collect, (stage+)install, mark clean.

@@ -415,7 +415,7 @@ mod tests {
         // Regression: an error between winning writer.lock and the guard
         // being constructed used to leak a lockfile naming a *live* pid —
         // unhealable, wedging the store for every later contender. Drive
-        // the `live_readers` error path by deleting the readers dir out
+        // the `live_readers` error path by moving the readers dir out
         // from under a writer waiting for a reader to drain.
         let store = scratch("errleak");
         let dir = lock_dir(&store);
@@ -424,16 +424,25 @@ mod tests {
         let writer = std::thread::spawn(move || {
             ProcLock::acquire_timeout(&writer_store, LockMode::Exclusive, Duration::from_secs(2))
         });
-        // Let the writer win queue.lock + writer.lock and settle into the
-        // reader-drain poll loop, then break its next `live_readers` call.
-        std::thread::sleep(Duration::from_millis(100));
-        fs::remove_dir_all(dir.join("readers")).unwrap();
+        // Wait until the writer has won queue.lock + writer.lock (it
+        // creates the readers dir before either, and then sits in the
+        // reader-drain poll loop), then break its next `live_readers` call.
+        // The dir is renamed away in one step: `remove_dir_all` would
+        // first empty it, and a poll landing in between counts zero
+        // readers and succeeds.
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while !dir.join("writer.lock").exists() {
+            assert!(Instant::now() < deadline, "writer never took writer.lock");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        fs::rename(dir.join("readers"), dir.join("readers.gone")).unwrap();
         let res = writer.join().unwrap();
         assert!(
             res.is_err(),
             "the acquire must surface the readers-dir error"
         );
         drop(reader);
+        fs::remove_dir_all(dir.join("readers.gone")).unwrap();
         // The failed attempt's writer.lock must have been released: a
         // fresh exclusive acquire succeeds instead of timing out against
         // a leaked live-pid lockfile.

@@ -11,13 +11,12 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 use crate::names::{app_name, sentence, user_name, word};
 use crate::zipf::Zipf;
 
 /// One synthetic item: content plus every name it should carry.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Item {
     /// A POSIX path for the hierarchical baseline / POSIX veneer.
     pub path: String,
@@ -41,7 +40,7 @@ impl Item {
 }
 
 /// Parameters for the document corpus generator.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CorpusConfig {
     /// Number of items to generate.
     pub items: usize,

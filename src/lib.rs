@@ -12,7 +12,7 @@
 //! * [`btree`] — the B+tree substrate.
 //! * [`storage`] — devices, allocators, extents, journal.
 //! * [`engine`] — the background-job engine (priority job scheduler,
-//!   read-ahead/write-behind/lazy-index services).
+//!   read-ahead, checkpoint and lazy-index services).
 //! * [`hierfs`] — the hierarchical baseline used in experiments.
 //! * [`workload`] — synthetic corpora and distributions.
 
