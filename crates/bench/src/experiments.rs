@@ -10,12 +10,12 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use hfad_core::{Hfad, HfadConfig, Tag, TagValue};
+use hfad_core::{Hfad, HfadConfig, Tag, TagValue, INDEX_SHARDS};
 use hfad_engine::{Engine, EnginePrefetcher, Priority};
 use hfad_hierfs::HierConfig;
-use hfad_index::{IndexStore, KeyValueIndex};
+use hfad_index::{FullTextIndex, IndexStore, KeyValueIndex, LazyIndexer};
 
-use hfad_osd::{unix_now, AllocatorKind, ObjectMeta, ObjectStore, StoreConfig};
+use hfad_osd::{unix_now, ObjectId, ObjectMeta, ObjectStore, StoreConfig};
 use hfad_storage::{BlockDevice, MemDevice};
 use hfad_workload::{documents, mail_store, photo_library, CorpusConfig, Item};
 
@@ -66,7 +66,7 @@ fn mean_latency(iters: usize, mut f: impl FnMut()) -> Duration {
 pub fn t1_tag_classes(scale: Scale) -> Table {
     let n = scale.pick(500, 5_000);
     let items = photo_library(n, 11);
-    let (fs, oids) = build_hfad(&items, HfadConfig::eager());
+    let (fs, oids) = build_hfad(&items, HfadConfig::default());
     let iters = scale.pick(200, 2_000);
 
     let mut table = Table::new(
@@ -120,8 +120,8 @@ pub fn f1_layering(scale: Scale) -> Table {
         ..Default::default()
     });
     let iters = scale.pick(200, 2_000);
-    let (hfad, oids) = build_hfad(&items, HfadConfig::eager());
-    let posix = build_posix(&items, HfadConfig::eager());
+    let (hfad, oids) = build_hfad(&items, HfadConfig::default());
+    let posix = build_posix(&items, HfadConfig::default());
     let (hier, _) = build_hierfs(&items, HierConfig::default());
 
     let mut table = Table::new(
@@ -241,7 +241,7 @@ pub fn e1_traversals(scale: Scale) -> Table {
         ]);
 
         // hFAD: full-text index → OID → extent map → data.
-        let (hfad, _) = build_hfad(&items, HfadConfig::eager());
+        let (hfad, _) = build_hfad(&items, HfadConfig::default());
         hfad.search_text(&[&probe_term]).unwrap();
         let dev_before = hfad.store().stats().device;
         let hfad_lat = mean_latency(iters, || {
@@ -359,7 +359,7 @@ pub fn e2_concurrency(scale: Scale) -> Table {
 
         // hFAD: the same logical operation is a single sharded-index lookup;
         // no shared ancestor exists.
-        let (hfad, _) = build_hfad(&items, HfadConfig::eager());
+        let (hfad, _) = build_hfad(&items, HfadConfig::default());
         let hfad = Arc::new(hfad);
         let op = {
             let hfad = Arc::clone(&hfad);
@@ -433,7 +433,7 @@ pub fn e3_insert_truncate(scale: Scale) -> Table {
         let body = vec![0x5Au8; size as usize];
 
         // hFAD: splice into the extent map.
-        let fs = Hfad::in_memory(crate::setup::DEFAULT_CAPACITY, HfadConfig::eager()).unwrap();
+        let fs = Hfad::in_memory(crate::setup::DEFAULT_CAPACITY, HfadConfig::default()).unwrap();
         let oid = fs.create(&[]).unwrap();
         fs.write(oid, 0, &body).unwrap();
         let insert_lat = mean_latency(iters, || {
@@ -490,8 +490,23 @@ pub fn e3_insert_truncate(scale: Scale) -> Table {
 // E4 — §3.2/§3.4 full-text index scaling and lazy indexing.
 // ---------------------------------------------------------------------
 
-/// E4: full-text query latency vs corpus size, and eager-vs-lazy ingest
-/// throughput.
+/// A standalone full-text index shaped like the one [`Hfad`] builds
+/// (same shard count, a device the size of the hFAD fixtures).
+fn e4_fulltext_index() -> Arc<FullTextIndex> {
+    let device = Arc::new(MemDevice::with_capacity(crate::setup::DEFAULT_CAPACITY));
+    let allocator = Arc::new(hfad_storage::BuddyAllocator::new(0, device.block_count()));
+    Arc::new(
+        FullTextIndex::new(
+            hfad_btree::TreeContext::new(device, allocator),
+            INDEX_SHARDS,
+        )
+        .unwrap(),
+    )
+}
+
+/// E4: full-text query latency vs corpus size, and the indexing
+/// throughput of inline [`FullTextIndex::index_document`] calls vs a
+/// [`LazyIndexer`] on the engine's Index class, drained.
 pub fn e4_fulltext(scale: Scale) -> Table {
     let sizes: &[usize] = match scale {
         Scale::Quick => &[200, 1_000],
@@ -509,8 +524,37 @@ pub fn e4_fulltext(scale: Scale) -> Table {
 
     for &n in sizes {
         let items = mail_store(n, 5);
-        // Eager ingest throughput.
-        let ((fs, _oids), eager_elapsed) = time(|| build_hfad(&items, HfadConfig::eager()));
+        let texts: Vec<(ObjectId, String)> = items
+            .iter()
+            .enumerate()
+            .map(|(i, item)| {
+                let text = String::from_utf8_lossy(&item.content()).into_owned();
+                (ObjectId(i as u64), text)
+            })
+            .collect();
+        // Eager baseline: index every document inline at the index layer.
+        let inline = e4_fulltext_index();
+        let (_, inline_elapsed) = time(|| {
+            for (oid, text) in &texts {
+                inline.index_document(*oid, text).unwrap();
+            }
+        });
+        // Lazy: enqueue every document on the engine's Index class (as
+        // `Hfad::index_content` does), then wait for the backlog to drain.
+        let engine = Engine::new(Arc::new(MemDevice::new(64, 512)));
+        let lazy =
+            LazyIndexer::with_executor(e4_fulltext_index(), engine.executor(Priority::Index));
+        let (_, lazy_elapsed) = time(|| {
+            for (oid, text) in &texts {
+                lazy.enqueue(*oid, text.clone()).unwrap();
+            }
+            lazy.drain();
+        });
+        assert_eq!(lazy.index().documents_indexed(), inline.documents_indexed());
+        engine.shutdown();
+
+        // Query latency through the full stack.
+        let (fs, _oids) = build_hfad(&items, HfadConfig::default());
         let q1 = mean_latency(query_iters, || {
             fs.search_text(&["storage"]).unwrap();
         });
@@ -519,24 +563,16 @@ pub fn e4_fulltext(scale: Scale) -> Table {
         });
         table.push_row(vec![
             n.to_string(),
-            "eager ingest docs/s".into(),
-            ops_per_sec(n as u64, eager_elapsed),
+            "inline index docs/s".into(),
+            ops_per_sec(n as u64, inline_elapsed),
         ]);
         table.push_row(vec![n.to_string(), "1-term query µs".into(), us(q1)]);
         table.push_row(vec![n.to_string(), "3-term conjunction µs".into(), us(q3)]);
-
-        // Lazy ingest: enqueue everything, then measure time to drain.
-        let (lazy_fs, lazy_elapsed) = time(|| {
-            let (fs, _) = build_hfad(&items, HfadConfig::default());
-            fs.sync_index();
-            fs
-        });
         table.push_row(vec![
             n.to_string(),
-            "lazy ingest+drain docs/s".into(),
+            "lazy enqueue+drain docs/s".into(),
             ops_per_sec(n as u64, lazy_elapsed),
         ]);
-        drop(lazy_fs);
     }
     table
 }
@@ -560,7 +596,7 @@ pub fn e5_posix_compat(scale: Scale) -> Table {
     );
 
     let hfad =
-        Arc::new(Hfad::in_memory(crate::setup::DEFAULT_CAPACITY, HfadConfig::eager()).unwrap());
+        Arc::new(Hfad::in_memory(crate::setup::DEFAULT_CAPACITY, HfadConfig::default()).unwrap());
     let posix = hfad_posix::PosixFs::new(hfad).unwrap();
     let (hier, _) = build_hierfs(&[], HierConfig::default());
 
@@ -698,7 +734,7 @@ pub fn e5_posix_compat(scale: Scale) -> Table {
 // E6 — §3.4 implementation ablations.
 // ---------------------------------------------------------------------
 
-/// E6: ablations of the implementation choices: buddy vs bump allocator,
+/// E6: ablations of the implementation choices: buddy-allocator churn,
 /// extent size, index shard count, and the optional transactional OSD.
 pub fn e6_ablation(scale: Scale) -> Table {
     let objects = scale.pick(200, 2_000);
@@ -713,17 +749,11 @@ pub fn e6_ablation(scale: Scale) -> Table {
         &["dimension", "setting", "write MB/s", "note"],
     );
 
-    // Allocator: buddy vs bump (write + delete churn shows reclamation).
-    for kind in [AllocatorKind::Buddy, AllocatorKind::Bump] {
+    // Allocator: the buddy allocator under write + delete churn (freed
+    // extents are reclaimed).
+    {
         let device = Arc::new(MemDevice::with_capacity(crate::setup::DEFAULT_CAPACITY));
-        let store = ObjectStore::create(
-            device,
-            StoreConfig {
-                allocator: kind,
-                ..Default::default()
-            },
-        )
-        .unwrap();
+        let store = ObjectStore::create(device, StoreConfig::default()).unwrap();
         let (result, elapsed) = time(|| {
             for i in 0..objects {
                 let oid = store.create_default(0).unwrap();
@@ -737,7 +767,7 @@ pub fn e6_ablation(scale: Scale) -> Table {
         let mb = (objects * object_size) as f64 / (1024.0 * 1024.0);
         table.push_row(vec![
             "allocator".into(),
-            format!("{kind:?}").to_lowercase(),
+            "buddy".into(),
             format!("{:.1}", mb / elapsed.as_secs_f64()),
             format!(
                 "utilization {:.2}, failed allocs {}",
@@ -917,7 +947,7 @@ pub fn e7_multinaming(scale: Scale) -> Table {
 
     for &n in memberships {
         // hFAD: one object, N tags.
-        let fs = Hfad::in_memory(crate::setup::DEFAULT_CAPACITY, HfadConfig::eager()).unwrap();
+        let fs = Hfad::in_memory(crate::setup::DEFAULT_CAPACITY, HfadConfig::default()).unwrap();
         let oid = fs.create(&[]).unwrap();
         fs.write(oid, 0, &body).unwrap();
         let before_alloc = fs.stats().store.allocator.allocated_blocks;

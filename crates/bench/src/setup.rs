@@ -134,7 +134,7 @@ mod tests {
     #[test]
     fn hfad_fixture_is_searchable() {
         let items = small_corpus();
-        let (fs, oids) = build_hfad(&items, HfadConfig::eager());
+        let (fs, oids) = build_hfad(&items, HfadConfig::default());
         assert_eq!(oids.len(), items.len());
         assert_eq!(fs.object_count(), items.len() as u64);
         // Every item is reachable through its POSIX tag.
@@ -159,7 +159,7 @@ mod tests {
     #[test]
     fn posix_fixture_matches_corpus() {
         let items = small_corpus();
-        let posix = build_posix(&items, HfadConfig::eager());
+        let posix = build_posix(&items, HfadConfig::default());
         for item in &items {
             assert_eq!(posix.read_all(&item.path).unwrap(), item.content());
         }

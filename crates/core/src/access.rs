@@ -57,23 +57,23 @@ impl Hfad {
         Ok(self.store.truncate(oid, new_size)?)
     }
 
-    /// Indexes `content` as the full-text body of `oid`, either inline or
-    /// via the background indexer depending on the configured mode.
+    /// Queues `content` for background full-text indexing as the body of
+    /// `oid` (§3.4's lazy indexing); [`search_text`](Self::search_text)
+    /// finds it after [`sync_index`](Self::sync_index).
     pub fn index_content(&self, oid: ObjectId, content: &[u8]) -> Result<()> {
         let text = String::from_utf8_lossy(content).into_owned();
-        match &self.lazy {
-            Some(lazy) => lazy.enqueue(oid, text)?,
-            None => {
-                self.fulltext.index_document(oid, &text)?;
-            }
-        }
-        Ok(())
+        Ok(self.lazy.enqueue(oid, text)?)
     }
 
-    /// Re-reads the object's current content and re-indexes it (dropping
-    /// stale postings first). Used after in-place rewrites.
+    /// Re-reads the object's current content and re-indexes it. Used after
+    /// in-place rewrites.
+    ///
+    /// Stale postings are dropped synchronously, once every queued item
+    /// for `oid` has been indexed, so no old job can re-add them; the new
+    /// content is queued like [`index_content`](Self::index_content).
     pub fn reindex(&self, oid: ObjectId) -> Result<()> {
         let content = self.read_all(oid)?;
+        self.lazy.wait_for(oid);
         self.fulltext.remove_document(oid)?;
         self.index_content(oid, &content)
     }
@@ -87,7 +87,7 @@ mod tests {
     use crate::fs::Hfad;
 
     fn fs() -> Hfad {
-        Hfad::in_memory(32 * 1024 * 1024, HfadConfig::eager()).unwrap()
+        Hfad::in_memory(32 * 1024 * 1024, HfadConfig::default()).unwrap()
     }
 
     #[test]
@@ -134,11 +134,15 @@ mod tests {
         let oid = fs
             .create_with_content(&[], b"the original draft text")
             .unwrap();
+        fs.sync_index();
         assert_eq!(fs.search_text(&["draft"]).unwrap(), vec![oid]);
         fs.truncate(oid, 0).unwrap();
         fs.write(oid, 0, b"the final published text").unwrap();
         fs.reindex(oid).unwrap();
+        // Stale terms are gone as soon as reindex returns…
         assert!(fs.search_text(&["draft"]).unwrap().is_empty());
+        // …and the new ones are searchable once indexed.
+        fs.sync_index();
         assert_eq!(fs.search_text(&["published"]).unwrap(), vec![oid]);
     }
 

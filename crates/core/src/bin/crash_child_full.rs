@@ -18,7 +18,7 @@
 use std::io::{Seek, SeekFrom, Write};
 use std::sync::Arc;
 
-use hfad_core::{Hfad, HfadConfig, IndexingMode};
+use hfad_core::{Hfad, HfadConfig};
 use hfad_osd::ObjectId;
 
 /// Record bytes written per commit (besides the counter).
@@ -50,7 +50,6 @@ pub fn full_stack_config() -> HfadConfig {
     HfadConfig {
         journal_blocks: 16,
         cache_blocks: 1024,
-        indexing: IndexingMode::Eager,
         ..HfadConfig::default()
     }
 }

@@ -7,27 +7,18 @@ use hfad_storage::{GroupCommitConfig, RetryPolicy};
 /// POSIX veneer's parent index).
 pub const INDEX_SHARDS: usize = 16;
 
-/// How full-text content indexing is performed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum IndexingMode {
-    /// Content is indexed in the background ("lazy full-text indexing",
-    /// §3.4) on the engine's `Index` class. Queries may briefly lag writes.
-    #[default]
-    Lazy,
-    /// Content is indexed synchronously on write.
-    Eager,
-}
-
 /// Configuration for [`Hfad`](crate::fs::Hfad).
 ///
 /// There is one stack: the background-job engine carries every
-/// background service (read-ahead, lazy indexing, checkpoint drains),
-/// the block cache is fronted by a decoded-node cache a quarter its
-/// size, and a transactional store always runs the watermark
-/// checkpointer. Ablation baselines (other allocators, shard counts,
-/// extent sizes, group-commit policies, engine worker counts) are built
-/// at their own layer from [`StoreConfig`], [`GroupCommitConfig`] and
-/// `hfad_engine::Engine::with_workers`.
+/// background service (read-ahead, lazy full-text indexing, checkpoint
+/// drains), the block cache is fronted by a decoded-node cache a quarter
+/// its size, and a transactional store always runs the watermark
+/// checkpointer. Full-text indexing is always lazy (§3.4): queries may
+/// lag writes until [`Hfad::sync_index`](crate::fs::Hfad::sync_index).
+/// Ablation baselines (inline indexing, shard counts, extent sizes,
+/// cache stripes, group-commit policies, engine worker counts) are built
+/// at their own layer from `hfad_index::FullTextIndex`, [`StoreConfig`],
+/// [`GroupCommitConfig`] and `hfad_engine::Engine::with_workers`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct HfadConfig {
     /// Blocks reserved for the write-ahead journal. `0` gives an
@@ -40,8 +31,6 @@ pub struct HfadConfig {
     /// `cache_blocks / 4` pages. The default is 4096 blocks (16 MiB at the
     /// default block size).
     pub cache_blocks: usize,
-    /// Eager or lazy full-text indexing.
-    pub indexing: IndexingMode,
     /// Attempt budget for transient device faults (`StorageError::
     /// TransientIo`), applied uniformly to group-commit journal flushes,
     /// checkpoints and cache read fills (which read-ahead populates go
@@ -59,23 +48,12 @@ impl Default for HfadConfig {
         HfadConfig {
             journal_blocks: 0,
             cache_blocks: 4096,
-            indexing: IndexingMode::Lazy,
             retry_attempts: 0,
         }
     }
 }
 
 impl HfadConfig {
-    /// A configuration with synchronous full-text indexing, used by tests
-    /// and the eager/lazy ablation. Everything else is
-    /// [`default()`](Self::default).
-    pub fn eager() -> Self {
-        HfadConfig {
-            indexing: IndexingMode::Eager,
-            ..Default::default()
-        }
-    }
-
     /// The transient-fault retry policy implied by
     /// [`retry_attempts`](Self::retry_attempts): `None` when `0` (each
     /// layer keeps its own default).
@@ -91,7 +69,6 @@ impl HfadConfig {
         StoreConfig {
             journal_blocks: self.journal_blocks,
             cache_blocks: self.cache_blocks,
-            node_cache_pages: self.cache_blocks / 4,
             ..Default::default()
         }
     }
@@ -118,24 +95,21 @@ impl HfadConfig {
 mod tests {
     use std::time::Duration;
 
-    use hfad_osd::{AllocatorKind, DEFAULT_MAX_EXTENT_BYTES};
+    use hfad_osd::DEFAULT_MAX_EXTENT_BYTES;
 
     use super::*;
 
     #[test]
     fn defaults_are_the_full_stack() {
         let c = HfadConfig::default();
-        assert_eq!(c.indexing, IndexingMode::Lazy);
         assert_eq!(c.retry_attempts, 0);
         // The derived OSD configuration: both cache tiers on, every
         // other knob at its OSD default.
         let sc = c.store_config();
         assert_eq!(sc.journal_blocks, 0);
         assert_eq!(sc.cache_blocks, 4096);
-        assert_eq!(sc.node_cache_pages, 1024);
-        assert_eq!(sc.cache_shards, 0, "auto-sized block-cache shards");
+        assert_eq!(sc.node_cache_pages(), 1024);
         assert_eq!(sc.shards, 0, "auto-sized store shards");
-        assert_eq!(sc.allocator, AllocatorKind::Buddy);
         assert_eq!(sc.max_extent_bytes, DEFAULT_MAX_EXTENT_BYTES);
         // Group commit: the default batch, zero leader wait.
         let gc = c.group_commit_config();
@@ -155,9 +129,8 @@ mod tests {
     }
 
     /// Configurations that differ from the default in every remaining knob.
-    fn non_default_configs() -> [HfadConfig; 3] {
+    fn non_default_configs() -> [HfadConfig; 2] {
         [
-            HfadConfig::eager(),
             HfadConfig {
                 journal_blocks: 256,
                 cache_blocks: 0,
@@ -199,11 +172,6 @@ mod tests {
     }
 
     #[test]
-    fn eager_configuration() {
-        assert_eq!(HfadConfig::eager().indexing, IndexingMode::Eager);
-    }
-
-    #[test]
     fn cache_knobs_map_to_store_config() {
         let c = HfadConfig {
             cache_blocks: 8192,
@@ -211,13 +179,13 @@ mod tests {
         };
         let sc = c.store_config();
         assert_eq!(sc.cache_blocks, 8192);
-        assert_eq!(sc.node_cache_pages, 2048, "node cache is a quarter");
+        assert_eq!(sc.node_cache_pages(), 2048, "node cache is a quarter");
         let uncached = HfadConfig {
             cache_blocks: 0,
             ..Default::default()
         }
         .store_config();
-        assert_eq!((uncached.cache_blocks, uncached.node_cache_pages), (0, 0));
+        assert_eq!((uncached.cache_blocks, uncached.node_cache_pages()), (0, 0));
     }
 
     #[test]

@@ -19,7 +19,7 @@ use hfad_storage::{
     Allocator, BlockDevice, BuddyAllocator, GroupCommitStats, Health, HealthState, MemDevice,
 };
 
-use crate::config::{HfadConfig, IndexingMode, INDEX_SHARDS};
+use crate::config::{HfadConfig, INDEX_SHARDS};
 use crate::error::{HfadError, Result};
 use crate::refine::SearchCursor;
 
@@ -34,7 +34,8 @@ pub struct HfadStats {
     pub indices: Vec<(String, IndexStats)>,
     /// Documents indexed by the full-text index.
     pub fulltext_documents: u64,
-    /// Backlog of the lazy indexer (0 when eager or idle).
+    /// Items queued for the lazy indexer and not yet indexed (0 when
+    /// idle).
     pub lazy_backlog: u64,
     /// Background-job engine counters.
     pub engine: EngineStats,
@@ -61,7 +62,7 @@ pub struct Hfad {
     /// Declared before `lazy`, `txn` and `engine` so drop stops the
     /// monitor first.
     pub(crate) checkpointer: parking_lot::Mutex<Option<Checkpointer>>,
-    pub(crate) lazy: Option<LazyIndexer>,
+    pub(crate) lazy: LazyIndexer,
     pub(crate) config: HfadConfig,
     /// Lazily built, shared transactional wrapper — see
     /// [`txn_store`](Self::txn_store). One journal region must have
@@ -212,7 +213,7 @@ impl Hfad {
             let allocator: Arc<dyn Allocator> =
                 Arc::new(BuddyAllocator::new(0, sb.data_blocks.max(1)));
             TreeContext::new(arena, allocator)
-                .with_node_cache(config.store_config().node_cache_pages)
+                .with_node_cache(config.store_config().node_cache_pages())
         } else {
             store.context().clone()
         };
@@ -228,9 +229,8 @@ impl Hfad {
         registry.register(Arc::clone(&fulltext) as Arc<dyn IndexStore>);
         // Index maintenance rides the engine's Index class with bounded
         // backpressure.
-        let lazy = (config.indexing == IndexingMode::Lazy).then(|| {
-            LazyIndexer::with_executor(Arc::clone(&fulltext), engine.executor(Priority::Index))
-        });
+        let lazy =
+            LazyIndexer::with_executor(Arc::clone(&fulltext), engine.executor(Priority::Index));
         // Persistent opens built their transactional writer first; adopt
         // its health machine so the whole stack shares one. Otherwise
         // start healthy and hand the machine to the writer when
@@ -371,7 +371,7 @@ impl Hfad {
             store: self.store.stats(),
             indices: self.registry.stats(),
             fulltext_documents: self.fulltext.documents_indexed(),
-            lazy_backlog: self.lazy.as_ref().map(|l| l.backlog()).unwrap_or(0),
+            lazy_backlog: self.lazy.backlog(),
             engine: self.engine.stats(),
             checkpoint: txn.as_ref().map(|ts| ts.checkpoint_stats()),
             group_commit: txn.as_ref().map(|ts| ts.group_commit_stats()),
@@ -379,12 +379,10 @@ impl Hfad {
         }
     }
 
-    /// Blocks until the background indexer has no pending work. A no-op in
-    /// eager mode.
+    /// Blocks until the background indexer has no pending work, so
+    /// [`search_text`](Self::search_text) sees every indexed write.
     pub fn sync_index(&self) {
-        if let Some(lazy) = &self.lazy {
-            lazy.drain();
-        }
+        self.lazy.drain();
     }
 
     /// Starts an iterative search refinement — the paper's §4 suggestion of
@@ -459,7 +457,7 @@ impl Drop for Hfad {
         // from a surviving store handle) fail gracefully with
         // `EngineError::Shutdown` and are dropped.
         self.checkpointer.lock().take();
-        self.lazy.take();
+        self.lazy.shutdown();
         // Dropping the last txn handle runs the persistent store's final
         // checkpoint (synchronous, engine-free), making the close clean.
         self.txn.lock().take();
@@ -523,10 +521,17 @@ mod tests {
     }
 
     #[test]
-    fn eager_mode_has_no_lazy_backlog() {
-        let fs = Hfad::in_memory(16 * 1024 * 1024, HfadConfig::eager()).unwrap();
+    fn sync_index_empties_the_lazy_backlog() {
+        let fs = Hfad::in_memory(16 * 1024 * 1024, HfadConfig::default()).unwrap();
         assert_eq!(fs.stats().lazy_backlog, 0);
+        for i in 0..20 {
+            fs.create_with_content(&[], format!("document {i}").as_bytes())
+                .unwrap();
+        }
         fs.sync_index();
+        let stats = fs.stats();
+        assert_eq!(stats.lazy_backlog, 0);
+        assert_eq!(stats.fulltext_documents, 20);
     }
 
     #[test]
@@ -544,7 +549,7 @@ mod tests {
             16 * 1024 * 1024,
             HfadConfig {
                 journal_blocks: 256,
-                ..HfadConfig::eager()
+                ..Default::default()
             },
         )
         .unwrap();
@@ -602,7 +607,7 @@ mod tests {
             16 * 1024 * 1024,
             HfadConfig {
                 journal_blocks: 8,
-                ..HfadConfig::eager()
+                ..Default::default()
             },
         )
         .unwrap();
@@ -632,7 +637,7 @@ mod tests {
         std::fs::remove_dir_all(dir.join("persist_round_trip.hfad.lck")).ok();
         let config = HfadConfig {
             journal_blocks: 256,
-            ..HfadConfig::eager()
+            ..Default::default()
         };
         let oid = {
             let fs = Hfad::create_file(&path, 8 << 20, config).unwrap();
@@ -708,7 +713,7 @@ mod tests {
         let path = scratch_file("reader_mode.hfad");
         let config = HfadConfig {
             journal_blocks: 64,
-            ..HfadConfig::eager()
+            ..Default::default()
         };
         let oid = {
             let fs = Hfad::create_file(&path, 8 << 20, config).unwrap();

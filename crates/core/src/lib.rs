@@ -33,7 +33,7 @@
 //! use hfad_core::{Hfad, HfadConfig};
 //! use hfad_index::TagValue;
 //!
-//! let fs = Hfad::in_memory(16 * 1024 * 1024, HfadConfig::eager()).unwrap();
+//! let fs = Hfad::in_memory(16 * 1024 * 1024, HfadConfig::default()).unwrap();
 //! let photo = fs
 //!     .create_with_content(
 //!         &[
@@ -46,6 +46,8 @@
 //!     .unwrap();
 //! // Find it by what it is, not where it lives.
 //! assert_eq!(fs.lookup(&[TagValue::udef("beach")]).unwrap(), vec![photo]);
+//! // Content is indexed lazily in the background; wait for it.
+//! fs.sync_index();
 //! assert_eq!(fs.search_text(&["surf"]).unwrap(), vec![photo]);
 //! ```
 
@@ -57,7 +59,7 @@ pub mod naming;
 pub mod plugin;
 pub mod refine;
 
-pub use config::{HfadConfig, IndexingMode, INDEX_SHARDS};
+pub use config::{HfadConfig, INDEX_SHARDS};
 pub use error::{HfadError, Result};
 pub use fs::{Hfad, HfadStats};
 pub use plugin::AttributeIndex;
@@ -66,5 +68,5 @@ pub use refine::SearchCursor;
 // Re-export the vocabulary types callers need to name and address objects,
 // so `hfad-core` is usable without importing the substrate crates.
 pub use hfad_index::{Query, Tag, TagValue};
-pub use hfad_osd::{AllocatorKind, ObjectId, ObjectMeta, Security, StoreConfig, StoreStats};
+pub use hfad_osd::{ObjectId, ObjectMeta, Security, StoreConfig, StoreStats};
 pub use hfad_storage::{GroupCommitConfig, GroupCommitStats, Health};

@@ -32,8 +32,8 @@ impl Hfad {
         Ok(oid)
     }
 
-    /// Creates an object, writes `content`, and (depending on the indexing
-    /// mode) schedules or performs full-text indexing of the content.
+    /// Creates an object, writes `content`, and queues the content for
+    /// background full-text indexing.
     pub fn create_with_content(&self, tags: &[TagValue], content: &[u8]) -> Result<ObjectId> {
         let oid = self.create(tags)?;
         self.write(oid, 0, content)?;
@@ -117,8 +117,13 @@ impl Hfad {
 
     /// Deletes an object: every index posting is removed, then the object
     /// and its storage are released.
+    ///
+    /// Queued full-text items for `oid` are indexed first, so none can
+    /// re-add postings afterwards: the object is out of every search when
+    /// this returns.
     pub fn delete(&self, oid: ObjectId) -> Result<()> {
         self.check_writable()?;
+        self.lazy.wait_for(oid);
         self.registry.remove_object(oid)?;
         Ok(self.store.delete(oid)?)
     }
@@ -130,7 +135,7 @@ mod tests {
     use crate::config::HfadConfig;
 
     fn fs() -> Hfad {
-        Hfad::in_memory(32 * 1024 * 1024, HfadConfig::eager()).unwrap()
+        Hfad::in_memory(32 * 1024 * 1024, HfadConfig::default()).unwrap()
     }
 
     #[test]
@@ -248,6 +253,7 @@ mod tests {
                 b"memo about the holiday schedule",
             )
             .unwrap();
+        fs.sync_index();
         assert_eq!(
             fs.search_text(&["storage", "report"]).unwrap(),
             vec![report]

@@ -150,7 +150,7 @@ mod tests {
 
     #[test]
     fn registered_plugin_participates_in_naming() {
-        let fs = Hfad::in_memory(32 * 1024 * 1024, HfadConfig::eager()).unwrap();
+        let fs = Hfad::in_memory(32 * 1024 * 1024, HfadConfig::default()).unwrap();
         fs.register_index(Arc::new(AttributeIndex::new("IMAGE")));
         let image_tag = Tag::Custom("IMAGE".to_string());
         let photo = fs
@@ -184,7 +184,7 @@ mod tests {
 
     #[test]
     fn unregistered_custom_tag_errors() {
-        let fs = Hfad::in_memory(16 * 1024 * 1024, HfadConfig::eager()).unwrap();
+        let fs = Hfad::in_memory(16 * 1024 * 1024, HfadConfig::default()).unwrap();
         let err = fs
             .create(&[TagValue::new(Tag::Custom("SOUND".into()), "44khz")])
             .unwrap_err();

@@ -85,7 +85,7 @@ mod tests {
     use crate::fs::Hfad;
 
     fn photo_library() -> (Hfad, Vec<hfad_osd::ObjectId>) {
-        let fs = Hfad::in_memory(32 * 1024 * 1024, HfadConfig::eager()).unwrap();
+        let fs = Hfad::in_memory(32 * 1024 * 1024, HfadConfig::default()).unwrap();
         let mut oids = Vec::new();
         for (person, place, year) in [
             ("margo", "beach", "2008"),
@@ -155,13 +155,14 @@ mod tests {
 
     #[test]
     fn text_refinement_composes_with_tags() {
-        let fs = Hfad::in_memory(32 * 1024 * 1024, HfadConfig::eager()).unwrap();
+        let fs = Hfad::in_memory(32 * 1024 * 1024, HfadConfig::default()).unwrap();
         let hit = fs
             .create_with_content(&[TagValue::user("margo")], b"trip itinerary for the beach")
             .unwrap();
         let _miss = fs
             .create_with_content(&[TagValue::user("margo")], b"budget spreadsheet")
             .unwrap();
+        fs.sync_index();
         let cursor = fs
             .search()
             .refine(TagValue::user("margo"))

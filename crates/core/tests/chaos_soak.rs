@@ -30,7 +30,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use hfad_core::{Health, Hfad, HfadConfig, IndexingMode};
+use hfad_core::{Health, Hfad, HfadConfig};
 use hfad_osd::{ObjectMeta, OsdError};
 use hfad_storage::{
     BlockDevice, FaultConfig, FaultDevice, MemDevice, OpFault, StorageError, DEFAULT_BLOCK_SIZE,
@@ -71,13 +71,12 @@ fn trials(default_release: u64, default_debug: u64) -> u64 {
 }
 
 /// The configuration under torture: the one stack, with a cache a third
-/// of the device, eager indexing, and a retry budget deep enough to
-/// statistically outlast the swept transient rates.
+/// of the device and a retry budget deep enough to statistically outlast
+/// the swept transient rates.
 fn soak_config() -> HfadConfig {
     HfadConfig {
         journal_blocks: 64,
         cache_blocks: 2048,
-        indexing: IndexingMode::Eager,
         retry_attempts: 12,
     }
 }

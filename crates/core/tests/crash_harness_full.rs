@@ -30,7 +30,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use hfad_core::{Hfad, HfadConfig, IndexingMode};
+use hfad_core::{Hfad, HfadConfig};
 use hfad_osd::{ObjectId, ObjectMeta};
 use hfad_storage::{BlockDevice, FileDevice, Superblock, DEFAULT_BLOCK_SIZE};
 
@@ -96,7 +96,6 @@ fn full_stack_config() -> HfadConfig {
     HfadConfig {
         journal_blocks: 16,
         cache_blocks: 1024,
-        indexing: IndexingMode::Eager,
         ..HfadConfig::default()
     }
 }

@@ -4,27 +4,27 @@
 //! indexing" (§3.4). [`LazyIndexer`] accepts `(object, text)` work and
 //! processes it in the background; callers continue immediately.
 //! Experiment E4 compares the ingest throughput of this lazy path against
-//! synchronous (eager) indexing.
+//! inline [`FullTextIndex::index_document`] calls.
 //!
 //! The indexer owns no threads: each work item is submitted to a
 //! [`BackgroundExecutor`] (in practice the background-job engine's `Index`
 //! priority class), so indexing shares one scheduler with read-ahead and
 //! checkpoint drains and inherits the executor's bounded admission as
 //! its backpressure.
+//!
+//! Pending items are counted per object, so a caller that removes an
+//! object's postings can first wait, with [`LazyIndexer::wait_for`], until
+//! no queued job for that object can re-add them.
 
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 
 use hfad_osd::ObjectId;
 use hfad_storage::{BackgroundExecutor, SubmitError};
 
 use crate::error::{IndexError, Result};
 use crate::fulltext::FullTextIndex;
-
-enum WorkItem {
-    Index { oid: ObjectId, text: String },
-    Remove { oid: ObjectId },
-}
 
 /// Counters describing the indexer's progress.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
@@ -41,31 +41,40 @@ pub struct LazyStats {
     pub rejected: u64,
 }
 
-/// Items submitted but not yet processed, and the condvar `drain` waits
-/// on for the count to reach zero.
+/// Items submitted but not yet processed, counted per object, and the
+/// condvar `drain` and `wait_for` wait on for counts to reach zero. An
+/// object with nothing pending has no entry.
 #[derive(Default)]
 struct Pending {
-    count: Mutex<u64>,
+    counts: Mutex<HashMap<ObjectId, u64>>,
     idle: Condvar,
 }
 
 impl Pending {
-    fn lock(&self) -> std::sync::MutexGuard<'_, u64> {
-        self.count
+    fn lock(&self) -> MutexGuard<'_, HashMap<ObjectId, u64>> {
+        self.counts
             .lock()
-            .expect("no thread panics while holding the pending count")
+            .expect("no thread panics while holding the pending counts")
     }
 
-    fn add(&self) {
-        *self.lock() += 1;
+    fn add(&self, oid: ObjectId) {
+        *self.lock().entry(oid).or_default() += 1;
     }
 
-    fn done(&self) {
-        let mut count = self.lock();
+    fn done(&self, oid: ObjectId) {
+        let mut counts = self.lock();
+        let count = counts.get_mut(&oid).expect("a done item was added");
         *count -= 1;
         if *count == 0 {
+            counts.remove(&oid);
             self.idle.notify_all();
         }
+    }
+
+    /// Blocks until `busy` no longer holds for the counts.
+    fn wait_while(&self, busy: impl FnMut(&mut HashMap<ObjectId, u64>) -> bool) {
+        let idle = self.idle.wait_while(self.lock(), busy);
+        drop(idle.expect("no thread panics while holding the pending counts"));
     }
 }
 
@@ -104,35 +113,32 @@ impl LazyIndexer {
         &self.index
     }
 
-    /// Submits one work item to the executor, keeping the accounting
-    /// invariant: exactly one of `enqueued`/`rejected` grows per accepted
-    /// or refused call.
+    /// Enqueues a document for indexing and returns immediately (or, when
+    /// the executor blocks at capacity, once it has room).
     ///
-    /// The item counts as pending before it is submitted, because the job
-    /// may run (and finish) before `submit_background` returns; a refused
-    /// item is uncounted again.
-    fn dispatch(&self, item: WorkItem) -> Result<()> {
+    /// Keeps the accounting invariant: exactly one of `enqueued`/`rejected`
+    /// grows per accepted or refused call. The item counts as pending
+    /// before it is submitted, because the job may run (and finish) before
+    /// `submit_background` returns; a refused item is uncounted again.
+    pub fn enqueue(&self, oid: ObjectId, text: impl Into<String>) -> Result<()> {
         if self.stopped.load(Ordering::Acquire) {
             return Err(IndexError::IndexerStopped);
         }
+        let text = text.into();
         let index = Arc::clone(&self.index);
         let completed = Arc::clone(&self.completed);
         let failed = Arc::clone(&self.failed);
         let pending = Arc::clone(&self.pending);
         let job: Box<dyn FnOnce() + Send> = Box::new(move || {
-            let outcome = match item {
-                WorkItem::Index { oid, text } => index.index_document(oid, &text).map(|_| ()),
-                WorkItem::Remove { oid } => index.remove_document(oid),
-            };
-            match outcome {
-                Ok(()) => completed.fetch_add(1, Ordering::Relaxed),
+            match index.index_document(oid, &text) {
+                Ok(_) => completed.fetch_add(1, Ordering::Relaxed),
                 Err(_) => failed.fetch_add(1, Ordering::Relaxed),
             };
-            pending.done();
+            pending.done(oid);
         });
-        self.pending.add();
+        self.pending.add(oid);
         self.executor.submit_background(job).map_err(|e| {
-            self.pending.done();
+            self.pending.done(oid);
             match e {
                 SubmitError::Full => {
                     self.rejected.fetch_add(1, Ordering::Relaxed);
@@ -145,30 +151,20 @@ impl LazyIndexer {
         Ok(())
     }
 
-    /// Enqueues a document for indexing and returns immediately (or, when
-    /// the executor blocks at capacity, once it has room).
-    pub fn enqueue(&self, oid: ObjectId, text: impl Into<String>) -> Result<()> {
-        self.dispatch(WorkItem::Index {
-            oid,
-            text: text.into(),
-        })
-    }
-
-    /// Enqueues removal of every posting for `oid`.
-    pub fn enqueue_remove(&self, oid: ObjectId) -> Result<()> {
-        self.dispatch(WorkItem::Remove { oid })
-    }
-
     /// Number of items submitted but not yet processed.
     pub fn backlog(&self) -> u64 {
-        *self.pending.lock()
+        self.pending.lock().values().sum()
     }
 
     /// Blocks until every item enqueued so far has been processed.
     pub fn drain(&self) {
-        let count = self.pending.lock();
-        let idle = self.pending.idle.wait_while(count, |n| *n > 0);
-        drop(idle.expect("no thread panics while holding the pending count"));
+        self.pending.wait_while(|counts| !counts.is_empty());
+    }
+
+    /// Blocks until no item for `oid` is pending, so postings removed after
+    /// this returns stay removed (unless `oid` is enqueued again).
+    pub fn wait_for(&self, oid: ObjectId) {
+        self.pending.wait_while(|counts| counts.contains_key(&oid));
     }
 
     /// Progress counters.
@@ -250,15 +246,55 @@ mod tests {
         assert_eq!(indexer.index().documents_indexed(), 50);
     }
 
+    /// Executor that holds every job until `release` runs them in order.
+    #[derive(Default)]
+    struct HeldExecutor {
+        jobs: parking_lot::Mutex<Vec<Box<dyn FnOnce() + Send>>>,
+    }
+
+    impl BackgroundExecutor for HeldExecutor {
+        fn submit_background(
+            &self,
+            job: Box<dyn FnOnce() + Send>,
+        ) -> std::result::Result<(), SubmitError> {
+            self.jobs.lock().push(job);
+            Ok(())
+        }
+    }
+
+    impl HeldExecutor {
+        fn release(&self) {
+            let jobs = std::mem::take(&mut *self.jobs.lock());
+            for job in jobs {
+                job();
+            }
+        }
+    }
+
     #[test]
-    fn enqueue_remove_deletes_postings() {
-        let indexer = threaded(fulltext());
-        indexer.enqueue(ObjectId(1), "transient content").unwrap();
-        indexer.drain();
-        assert_eq!(indexer.index().lookup_term("transient").unwrap().len(), 1);
-        indexer.enqueue_remove(ObjectId(1)).unwrap();
-        indexer.drain();
-        assert!(indexer.index().lookup_term("transient").unwrap().is_empty());
+    fn wait_for_blocks_until_the_objects_items_finish() {
+        let executor = Arc::new(HeldExecutor::default());
+        let indexer = Arc::new(LazyIndexer::with_executor(
+            fulltext(),
+            Arc::clone(&executor) as Arc<dyn BackgroundExecutor>,
+        ));
+        indexer.enqueue(ObjectId(1), "held back").unwrap();
+        indexer.enqueue(ObjectId(1), "held again").unwrap();
+        // Nothing is pending for another object: no wait.
+        indexer.wait_for(ObjectId(2));
+        assert_eq!(indexer.backlog(), 2);
+        let waiter = {
+            let indexer = Arc::clone(&indexer);
+            std::thread::spawn(move || {
+                indexer.wait_for(ObjectId(1));
+                indexer.index().lookup_term("held").unwrap()
+            })
+        };
+        std::thread::sleep(std::time::Duration::from_millis(50));
+        assert!(!waiter.is_finished(), "two items for object 1 are held");
+        executor.release();
+        assert_eq!(waiter.join().unwrap(), vec![ObjectId(1)]);
+        assert_eq!(indexer.backlog(), 0);
     }
 
     #[test]

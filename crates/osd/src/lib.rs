@@ -45,8 +45,8 @@ pub use oid::{ObjectId, OidAllocator, OID_RANGE};
 pub use persist::{
     create_file, open_file, open_file_reader, StoreMeta, DEFAULT_PERSIST_JOURNAL_BLOCKS,
 };
-pub use shard::{resolve_shard_count, shard_index, ShardedMap, MAX_SHARDS};
-pub use store::{AllocatorKind, ObjectStore, StoreConfig, StoreStats};
+pub use shard::ShardedMap;
+pub use store::{ObjectStore, StoreConfig, StoreStats};
 pub use txn::{
     CheckpointStats, Transaction, TxnOp, TxnStore, TxnStoreStats, STALL_BUCKETS,
     STALL_BUCKET_BOUNDS_NS,

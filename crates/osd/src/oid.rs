@@ -6,7 +6,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use parking_lot::Mutex;
 
-use crate::shard::{resolve_shard_count, shard_index};
+use hfad_storage::shard::{resolve_shard_count, shard_index};
 
 /// A unique object identifier.
 ///

@@ -51,13 +51,13 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use hfad_storage::{
-    fnv1a, Allocator, AllocatorSnapshot, BlockDevice, BuddyAllocator, BumpAllocator, CachedDevice,
-    Doublewrite, FileDevice, GroupCommitConfig, Journal, LockMode, ProcLock, RecordKind,
-    Superblock, DEFAULT_BLOCK_SIZE,
+    fnv1a, Allocator, AllocatorSnapshot, BlockDevice, BuddyAllocator, CachedDevice, Doublewrite,
+    FileDevice, GroupCommitConfig, Journal, LockMode, ProcLock, RecordKind, Superblock,
+    DEFAULT_BLOCK_SIZE,
 };
 
 use crate::error::{OsdError, Result};
-use crate::store::{AllocatorKind, ObjectStore, StoreConfig};
+use crate::store::{ObjectStore, StoreConfig};
 use crate::txn::TxnStore;
 
 /// Journal blocks used when the caller's [`StoreConfig::journal_blocks`]
@@ -125,11 +125,6 @@ impl StoreMeta {
                     out.extend_from_slice(&order.to_le_bytes());
                 }
             }
-            AllocatorSnapshot::Bump(high_water) => {
-                out.push(1);
-                out.extend_from_slice(&high_water.to_le_bytes());
-            }
-            AllocatorSnapshot::Unsupported => out.push(2),
         }
         let crc = fnv1a(&out);
         out.extend_from_slice(&crc.to_le_bytes());
@@ -158,7 +153,7 @@ impl StoreMeta {
         let next_txn = take_u64(buf, &mut pos)?;
         let next_oid = take_u64(buf, &mut pos)?;
         let shard_count = take_u64(buf, &mut pos)? as usize;
-        if shard_count == 0 || shard_count > crate::shard::MAX_SHARDS {
+        if shard_count == 0 || shard_count > hfad_storage::shard::MAX_SHARDS {
             return Err(OsdError::Corrupt(format!(
                 "store metadata carries implausible shard count {shard_count}"
             )));
@@ -189,8 +184,6 @@ impl StoreMeta {
                 }
                 AllocatorSnapshot::Buddy(chunks)
             }
-            1 => AllocatorSnapshot::Bump(take_u64(buf, &mut pos)?),
-            2 => AllocatorSnapshot::Unsupported,
             other => {
                 return Err(OsdError::Corrupt(format!(
                     "unknown allocator snapshot kind {other}"
@@ -343,30 +336,12 @@ fn resolve_geometry(config: &StoreConfig) -> PersistGeometry {
 }
 
 fn restore_allocator(sb: &Superblock, snapshot: &AllocatorSnapshot) -> Result<Arc<dyn Allocator>> {
-    Ok(match snapshot {
-        AllocatorSnapshot::Buddy(chunks) => Arc::new(BuddyAllocator::restore(
-            sb.data_start,
-            sb.data_blocks,
-            chunks,
-        )?),
-        AllocatorSnapshot::Bump(high_water) => Arc::new(BumpAllocator::restore(
-            sb.data_start,
-            sb.data_blocks,
-            *high_water,
-        )?),
-        AllocatorSnapshot::Unsupported => {
-            return Err(OsdError::Corrupt(
-                "store metadata carries an unsupported allocator snapshot".into(),
-            ))
-        }
-    })
-}
-
-fn allocator_kind(snapshot: &AllocatorSnapshot) -> AllocatorKind {
-    match snapshot {
-        AllocatorSnapshot::Bump(_) => AllocatorKind::Bump,
-        _ => AllocatorKind::Buddy,
-    }
+    let AllocatorSnapshot::Buddy(chunks) = snapshot;
+    Ok(Arc::new(BuddyAllocator::restore(
+        sb.data_start,
+        sb.data_blocks,
+        chunks,
+    )?))
 }
 
 /// Creates (formats) a persistent store at `path` with `capacity_bytes`
@@ -403,16 +378,10 @@ pub fn create_file<P: AsRef<Path>>(
     raw.flush()?;
     let dw = Doublewrite::new(Arc::clone(&raw), sb.dw_start, sb.dw_blocks)?;
     let checkpoint_threshold = (dw.capacity() / 4).max(1);
-    let cache = Arc::new(CachedDevice::with_shards(
-        Arc::clone(&raw),
-        geometry.cache_blocks,
-        config.cache_shards,
-    ));
+    let cache = Arc::new(CachedDevice::new(Arc::clone(&raw), geometry.cache_blocks));
     cache.set_retain_dirty(true);
-    let allocator: Arc<dyn Allocator> = match config.allocator {
-        AllocatorKind::Buddy => Arc::new(BuddyAllocator::new(sb.data_start, sb.data_blocks)),
-        AllocatorKind::Bump => Arc::new(BumpAllocator::new(sb.data_start, sb.data_blocks)),
-    };
+    let allocator: Arc<dyn Allocator> =
+        Arc::new(BuddyAllocator::new(sb.data_start, sb.data_blocks));
     let persist = Arc::new(PersistCtx {
         raw,
         dw,
@@ -479,15 +448,9 @@ pub fn open_file<P: AsRef<Path>>(
     })?;
     let geometry = resolve_geometry(&config);
     let checkpoint_threshold = (dw.capacity() / 4).max(1);
-    let cache = Arc::new(CachedDevice::with_shards(
-        Arc::clone(&raw),
-        geometry.cache_blocks,
-        config.cache_shards,
-    ));
+    let cache = Arc::new(CachedDevice::new(Arc::clone(&raw), geometry.cache_blocks));
     cache.set_retain_dirty(true);
     let allocator = restore_allocator(&sb, &meta.alloc)?;
-    let mut config = config;
-    config.allocator = allocator_kind(&meta.alloc);
     let persist = Arc::new(PersistCtx {
         raw,
         dw,
@@ -558,14 +521,8 @@ pub fn open_file_reader<P: AsRef<Path>>(path: P, config: StoreConfig) -> Result<
         ));
     }
     let geometry = resolve_geometry(&config);
-    let cache = Arc::new(CachedDevice::with_shards(
-        Arc::clone(&raw),
-        geometry.cache_blocks,
-        config.cache_shards,
-    ));
+    let cache = Arc::new(CachedDevice::new(Arc::clone(&raw), geometry.cache_blocks));
     let allocator = restore_allocator(&sb, &meta.alloc)?;
-    let mut config = config;
-    config.allocator = allocator_kind(&meta.alloc);
     let store = ObjectStore::build_persistent(
         cache,
         allocator,
@@ -595,19 +552,81 @@ mod tests {
         }
     }
 
+    /// `meta` encoded with its allocator section replaced by `section`
+    /// (tag byte and payload) under a valid checksum.
+    fn encode_with_alloc_section(meta: &StoreMeta, section: &[u8]) -> Vec<u8> {
+        let mut bytes = StoreMeta {
+            alloc: AllocatorSnapshot::Buddy(Vec::new()),
+            ..meta.clone()
+        }
+        .encode();
+        // An empty buddy section is the tag byte, a zero count and the CRC.
+        bytes.truncate(bytes.len() - 1 - 8 - 8);
+        bytes.extend_from_slice(section);
+        let crc = fnv1a(&bytes);
+        bytes.extend_from_slice(&crc.to_le_bytes());
+        bytes
+    }
+
+    /// Allocator sections of formats this store no longer reads: tag 1 (a
+    /// bump allocator's high-water mark) and tag 2 (an allocator without
+    /// snapshots).
+    fn retired_alloc_sections() -> [Vec<u8>; 2] {
+        let mut bump = vec![1u8];
+        bump.extend_from_slice(&777u64.to_le_bytes());
+        [bump, vec![2u8]]
+    }
+
     #[test]
     fn store_meta_round_trips() {
-        for meta in [
-            sample_meta(),
-            StoreMeta {
-                alloc: AllocatorSnapshot::Bump(777),
-                ..sample_meta()
-            },
-        ] {
-            let mut bytes = meta.encode();
-            // Block-aligned padding must not confuse decode.
-            bytes.resize(bytes.len() + 100, 0);
-            assert_eq!(StoreMeta::decode(&bytes).unwrap(), meta);
+        let meta = sample_meta();
+        let mut bytes = meta.encode();
+        // Buddy chunks keep tag 0, so stores written before the other
+        // kinds were retired still decode.
+        assert_eq!(bytes[8 * 6 + 16 * meta.shards.len()], 0);
+        // Block-aligned padding must not confuse decode.
+        bytes.resize(bytes.len() + 100, 0);
+        assert_eq!(StoreMeta::decode(&bytes).unwrap(), meta);
+
+        // A checksum-valid slot with a retired allocator tag is a typed
+        // corruption error, not a panic.
+        for section in retired_alloc_sections() {
+            let bytes = encode_with_alloc_section(&meta, &section);
+            assert!(
+                matches!(StoreMeta::decode(&bytes), Err(OsdError::Corrupt(_))),
+                "tag {} decoded",
+                section[0]
+            );
+        }
+
+        // The same through a real open: both metadata slots of a closed
+        // store rewritten with a retired tag make `open_file` fail typed.
+        for section in retired_alloc_sections() {
+            let path = scratch(&format!("retired_alloc_tag_{}.hfad", section[0]));
+            drop(create_file(&path, 8 << 20, StoreConfig::default(), Default::default()).unwrap());
+            let raw = FileDevice::open(&path, DEFAULT_BLOCK_SIZE).unwrap();
+            let sb = Superblock::read_from(&raw).unwrap();
+            let meta = load_meta(&raw, &sb)
+                .unwrap()
+                .expect("a closed store has metadata");
+            let bytes = encode_with_alloc_section(&meta, &section);
+            for slot in 0..2 {
+                let base = sb.meta_start + slot * sb.meta_slot_blocks();
+                for (i, chunk) in bytes.chunks(DEFAULT_BLOCK_SIZE).enumerate() {
+                    let mut block = vec![0u8; DEFAULT_BLOCK_SIZE];
+                    block[..chunk.len()].copy_from_slice(chunk);
+                    raw.write_block(base + i as u64, &block).unwrap();
+                }
+            }
+            raw.flush().unwrap();
+            drop(raw);
+            let opened = open_file(&path, StoreConfig::default(), Default::default());
+            assert!(
+                matches!(opened, Err(OsdError::Corrupt(_))),
+                "tag {}: {:?}",
+                section[0],
+                opened.err()
+            );
         }
     }
 

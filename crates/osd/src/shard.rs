@@ -5,25 +5,21 @@
 //! state. A single global lock in front of the object table would quietly
 //! reintroduce exactly the bottleneck the paper removes, so the store
 //! stripes its hot-path state — the open-object map and the object table —
-//! across [`resolve_shard_count`] independent shards routed by a hash of
-//! the [`ObjectId`](crate::oid::ObjectId). Operations on objects in
-//! different shards never touch the same lock.
+//! across [`resolve_shard_count`](hfad_storage::shard::resolve_shard_count)
+//! independent shards routed by a hash of the
+//! [`ObjectId`](crate::oid::ObjectId). Operations on objects in different
+//! shards never touch the same lock.
 //!
 //! [`ShardedMap`] is the generic lock-striped map used for the open-object
 //! cache; the striped object-table B-trees live in
-//! [`store`](crate::store) and reuse [`shard_index`] so that, for a given
-//! object, the map shard and the table shard are always aligned.
+//! [`store`](crate::store) and reuse the same [`shard_index`] so that, for
+//! a given object, the map shard and the table shard are always aligned.
 
 use std::collections::HashMap;
 
 use parking_lot::Mutex;
 
-/// The workspace-wide shard-count resolution and key-routing convention.
-///
-/// The arithmetic lives in [`hfad_storage::shard`] (PR 5 moved it there so
-/// the block cache, the decoded-node cache and the store all stripe the
-/// same way); these re-exports keep the OSD's public surface unchanged.
-pub use hfad_storage::shard::{resolve_shard_count, shard_index, MAX_SHARDS};
+use hfad_storage::shard::{shard_index, MAX_SHARDS};
 
 /// A lock-striped hash map keyed by `u64`.
 ///
@@ -39,7 +35,7 @@ pub struct ShardedMap<V> {
 
 impl<V> ShardedMap<V> {
     /// Creates a map striped over `shard_count` shards (a power of two, as
-    /// produced by [`resolve_shard_count`]).
+    /// produced by [`resolve_shard_count`](hfad_storage::shard::resolve_shard_count)).
     pub fn new(shard_count: usize) -> Self {
         assert!(
             shard_count.is_power_of_two() && shard_count <= MAX_SHARDS,
@@ -135,49 +131,6 @@ impl<V: Clone> ShardedMap<V> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn resolve_auto_is_power_of_two_and_covers_parallelism() {
-        let n = resolve_shard_count(0);
-        assert!(n.is_power_of_two());
-        let parallelism = std::thread::available_parallelism()
-            .map(|p| p.get())
-            .unwrap_or(1);
-        assert!(n >= parallelism.min(MAX_SHARDS));
-    }
-
-    #[test]
-    fn resolve_rounds_up_and_clamps() {
-        assert_eq!(resolve_shard_count(1), 1);
-        assert_eq!(resolve_shard_count(3), 4);
-        assert_eq!(resolve_shard_count(16), 16);
-        assert_eq!(resolve_shard_count(usize::MAX), MAX_SHARDS);
-    }
-
-    #[test]
-    fn routing_is_in_bounds_and_deterministic() {
-        for count in [1usize, 2, 8, 64] {
-            for key in 0..1000u64 {
-                let idx = shard_index(key, count);
-                assert!(idx < count);
-                assert_eq!(idx, shard_index(key, count));
-            }
-        }
-    }
-
-    #[test]
-    fn sequential_keys_spread_across_shards() {
-        let count = 8;
-        let mut hit = vec![0usize; count];
-        for key in 0..1024u64 {
-            hit[shard_index(key, count)] += 1;
-        }
-        // Fibonacci hashing must not leave any shard starved for a dense
-        // sequential key range (the OID allocation pattern).
-        for (i, &h) in hit.iter().enumerate() {
-            assert!(h > 0, "shard {i} never hit");
-        }
-    }
 
     #[test]
     fn map_basic_operations() {

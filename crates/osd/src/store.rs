@@ -37,15 +37,15 @@
 //!
 //! # The two cache tiers
 //!
-//! The read path can additionally be fronted by two caches, both off by
-//! default and swept by experiment E9:
+//! [`StoreConfig::cache_blocks`] `> 0` (off by default) fronts the read
+//! path with two caches; experiment E9 ablates each at its own layer:
 //!
-//! * [`StoreConfig::cache_blocks`] wraps the device in the storage
-//!   layer's sharded [`CachedDevice`] (block frames,
-//!   [`StoreConfig::cache_shards`] lock stripes, O(1) CLOCK eviction).
-//! * [`StoreConfig::node_cache_pages`] attaches a shared decoded-node
-//!   cache to the B-tree context, so hot descents of the object table and
-//!   extent maps skip `Node::decode` entirely.
+//! * the storage layer's sharded [`CachedDevice`] (block frames,
+//!   auto-sized lock stripes, O(1) CLOCK eviction);
+//! * a shared decoded-node cache of
+//!   [`StoreConfig::node_cache_pages`] pages on the B-tree context, so hot
+//!   descents of the object table and extent maps skip `Node::decode`
+//!   entirely.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -54,29 +54,16 @@ use parking_lot::{Mutex, RwLock};
 
 use hfad_btree::{BTree, TreeContext};
 use hfad_storage::{
-    AllocStats, Allocator, BlockDevice, BuddyAllocator, BumpAllocator, CacheStats, CachedDevice,
-    DeviceCounters, ProcLock, Superblock,
+    AllocStats, Allocator, BlockDevice, BuddyAllocator, CacheStats, CachedDevice, DeviceCounters,
+    ProcLock, Superblock,
 };
 
 use crate::error::{OsdError, Result};
 use crate::meta::{unix_now, ObjectMeta};
 use crate::object::{Object, DEFAULT_MAX_EXTENT_BYTES};
 use crate::oid::{ObjectId, OidAllocator};
-use crate::shard::{resolve_shard_count, shard_index, ShardedMap};
-
-/// Which allocator manages the data area (ablated in experiment E6).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum AllocatorKind {
-    /// The paper's buddy allocator: power-of-two block runs with splitting
-    /// and coalescing, so freed extents are reclaimed and refused
-    /// allocations are rare until the device is genuinely full.
-    #[default]
-    Buddy,
-    /// A never-reclaiming bump allocator (ablation baseline): allocation is
-    /// a pointer increment, `free` is a no-op, so deleted objects leak
-    /// their blocks.
-    Bump,
-}
+use crate::shard::ShardedMap;
+use hfad_storage::shard::{resolve_shard_count, shard_index};
 
 /// Configuration for a new [`ObjectStore`].
 #[derive(Debug, Clone, Copy)]
@@ -88,28 +75,20 @@ pub struct StoreConfig {
     /// Blocks reserved for the write-ahead journal (0 disables it; a
     /// journal is required by [`crate::txn::TxnStore`]).
     pub journal_blocks: u64,
-    /// Allocator for the data area.
-    pub allocator: AllocatorKind,
     /// Number of lock shards for the object table and open-object map.
     ///
     /// `0` (the default) auto-sizes to the next power of two at or above
     /// the machine's available parallelism; explicit values are rounded up
-    /// to a power of two and capped at [`crate::shard::MAX_SHARDS`]. Set
-    /// to `1` to reproduce a single-global-lock store (the E2/E6
+    /// to a power of two and capped at [`hfad_storage::shard::MAX_SHARDS`].
+    /// Set to `1` to reproduce a single-global-lock store (the E2/E6
     /// contention baseline).
     pub shards: usize,
     /// Block-cache capacity in blocks. `0` (the default) leaves the
     /// device unwrapped; any other value fronts it with the storage
-    /// layer's sharded write-back [`CachedDevice`].
+    /// layer's sharded write-back [`CachedDevice`] (which sizes its own
+    /// lock stripes) plus a decoded B-tree node cache of
+    /// [`node_cache_pages`](Self::node_cache_pages) pages.
     pub cache_blocks: usize,
-    /// Lock shards for the block cache (`0` auto-sizes; `1` reproduces
-    /// the single-global-lock cache, the E9 contention baseline). Only
-    /// meaningful when `cache_blocks > 0`.
-    pub cache_shards: usize,
-    /// Decoded B-tree node cache capacity in pages, shared by the object
-    /// table stripes and every extent map. `0` (the default) decodes on
-    /// every read — the E9 ablation baseline.
-    pub node_cache_pages: usize,
 }
 
 impl Default for StoreConfig {
@@ -117,12 +96,19 @@ impl Default for StoreConfig {
         StoreConfig {
             max_extent_bytes: DEFAULT_MAX_EXTENT_BYTES,
             journal_blocks: 0,
-            allocator: AllocatorKind::Buddy,
             shards: 0,
             cache_blocks: 0,
-            cache_shards: 0,
-            node_cache_pages: 0,
         }
+    }
+}
+
+impl StoreConfig {
+    /// Capacity in pages of the decoded B-tree node cache shared by the
+    /// object table stripes and every extent map: a quarter of
+    /// [`cache_blocks`](Self::cache_blocks), so `0` when the store runs
+    /// uncached.
+    pub fn node_cache_pages(&self) -> usize {
+        self.cache_blocks / 4
     }
 }
 
@@ -188,11 +174,7 @@ impl ObjectStore {
     pub fn create(device: Arc<dyn BlockDevice>, config: StoreConfig) -> Result<Self> {
         let mut block_cache = None;
         let device: Arc<dyn BlockDevice> = if config.cache_blocks > 0 {
-            let cached = Arc::new(CachedDevice::with_shards(
-                device,
-                config.cache_blocks,
-                config.cache_shards,
-            ));
+            let cached = Arc::new(CachedDevice::new(device, config.cache_blocks));
             block_cache = Some(Arc::clone(&cached));
             cached
         } else {
@@ -220,17 +202,11 @@ impl ObjectStore {
             )?
             .reset_full()?;
         }
-        let allocator: Arc<dyn Allocator> = match config.allocator {
-            AllocatorKind::Buddy => Arc::new(BuddyAllocator::new(
-                superblock.data_start,
-                superblock.data_blocks,
-            )),
-            AllocatorKind::Bump => Arc::new(BumpAllocator::new(
-                superblock.data_start,
-                superblock.data_blocks,
-            )),
-        };
-        let ctx = TreeContext::new(device, allocator).with_node_cache(config.node_cache_pages);
+        let allocator: Arc<dyn Allocator> = Arc::new(BuddyAllocator::new(
+            superblock.data_start,
+            superblock.data_blocks,
+        ));
+        let ctx = TreeContext::new(device, allocator).with_node_cache(config.node_cache_pages());
         let shard_count = resolve_shard_count(config.shards);
         let mut tables = Vec::with_capacity(shard_count);
         for _ in 0..shard_count {
@@ -274,7 +250,7 @@ impl ObjectStore {
     ) -> Result<Self> {
         let block_cache = Some(Arc::clone(&cache));
         let device: Arc<dyn BlockDevice> = cache;
-        let ctx = TreeContext::new(device, allocator).with_node_cache(config.node_cache_pages);
+        let ctx = TreeContext::new(device, allocator).with_node_cache(config.node_cache_pages());
         let mut tables = Vec::new();
         match shard_state {
             Some(state) => {
@@ -747,23 +723,6 @@ mod tests {
     }
 
     #[test]
-    fn bump_allocator_store_works() {
-        let device = Arc::new(hfad_storage::MemDevice::with_capacity(8 * 1024 * 1024));
-        let s = ObjectStore::create(
-            device,
-            StoreConfig {
-                allocator: AllocatorKind::Bump,
-                ..Default::default()
-            },
-        )
-        .unwrap();
-        let oid = s.create_default(0).unwrap();
-        s.write(oid, 0, b"bump-backed").unwrap();
-        assert_eq!(s.read(oid, 0, 100).unwrap(), b"bump-backed".to_vec());
-        assert!(s.stats().allocator.free_blocks > 0);
-    }
-
-    #[test]
     fn concurrent_access_to_distinct_objects() {
         let s = Arc::new(store());
         let oids: Vec<ObjectId> = (0..8).map(|_| s.create_default(0).unwrap()).collect();
@@ -960,14 +919,12 @@ mod tests {
     // Two-tier cache wiring.
     // ------------------------------------------------------------------
 
-    fn cached_store(cache_shards: usize, node_cache_pages: usize) -> ObjectStore {
+    fn cached_store() -> ObjectStore {
         let device = Arc::new(hfad_storage::MemDevice::with_capacity(32 * 1024 * 1024));
         ObjectStore::create(
             device,
             StoreConfig {
                 cache_blocks: 2048,
-                cache_shards,
-                node_cache_pages,
                 ..Default::default()
             },
         )
@@ -976,21 +933,26 @@ mod tests {
 
     #[test]
     fn cached_store_full_lifecycle_and_stats() {
-        for (cache_shards, node_cache_pages) in [(1, 0), (4, 1024)] {
-            let s = cached_store(cache_shards, node_cache_pages);
-            let oid = s.create_default(0).unwrap();
-            s.write(oid, 0, b"through the cache").unwrap();
-            assert_eq!(s.read(oid, 0, 100).unwrap(), b"through the cache".to_vec());
-            let cache = s.block_cache().expect("cache configured");
-            assert_eq!(cache.shard_count() == 1, cache_shards == 1);
-            let stats = s.stats();
-            let cache_stats = stats.block_cache.expect("cache stats reported");
-            assert!(cache_stats.hits > 0, "reads must hit the block cache");
-            let other = s.create_default(0).unwrap();
-            s.write(other, 0, &vec![7u8; 100_000]).unwrap();
-            s.delete(other).unwrap();
-            assert_eq!(s.read(oid, 0, 100).unwrap(), b"through the cache".to_vec());
-        }
+        let s = cached_store();
+        assert_eq!(
+            StoreConfig {
+                cache_blocks: 2048,
+                ..Default::default()
+            }
+            .node_cache_pages(),
+            512
+        );
+        let oid = s.create_default(0).unwrap();
+        s.write(oid, 0, b"through the cache").unwrap();
+        assert_eq!(s.read(oid, 0, 100).unwrap(), b"through the cache".to_vec());
+        assert!(s.context().node_cache().is_some(), "node cache rides along");
+        let stats = s.stats();
+        let cache_stats = stats.block_cache.expect("cache stats reported");
+        assert!(cache_stats.hits > 0, "reads must hit the block cache");
+        let other = s.create_default(0).unwrap();
+        s.write(other, 0, &vec![7u8; 100_000]).unwrap();
+        s.delete(other).unwrap();
+        assert_eq!(s.read(oid, 0, 100).unwrap(), b"through the cache".to_vec());
     }
 
     #[test]

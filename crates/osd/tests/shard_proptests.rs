@@ -8,7 +8,8 @@ use std::sync::Arc;
 
 use proptest::prelude::*;
 
-use hfad_osd::{shard_index, ObjectId, ObjectStore, ShardedMap, StoreConfig};
+use hfad_osd::{ObjectId, ObjectStore, ShardedMap, StoreConfig};
+use hfad_storage::shard::shard_index;
 use hfad_storage::MemDevice;
 
 /// Operations applied to both the sharded map and the model.

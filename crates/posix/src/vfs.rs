@@ -328,7 +328,7 @@ mod tests {
     use super::*;
 
     fn posix() -> PosixFs {
-        let fs = Arc::new(Hfad::in_memory(32 * 1024 * 1024, HfadConfig::eager()).unwrap());
+        let fs = Arc::new(Hfad::in_memory(32 * 1024 * 1024, HfadConfig::default()).unwrap());
         PosixFs::new(fs).unwrap()
     }
 

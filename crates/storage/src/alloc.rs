@@ -1,4 +1,4 @@
-//! The allocator abstraction shared by the buddy and bump allocators.
+//! The allocator abstraction the buddy allocator implements.
 
 use crate::error::Result;
 use crate::extent::Extent;
@@ -52,18 +52,14 @@ pub enum AllocatorSnapshot {
     /// `(start_block, order)` pairs from
     /// [`allocated_snapshot`](crate::BuddyAllocator::allocated_snapshot).
     Buddy(Vec<(u64, u32)>),
-    /// High-water mark of a [`BumpAllocator`](crate::BumpAllocator).
-    Bump(u64),
-    /// The allocator does not support snapshots; stores backed by it
-    /// cannot be persisted.
-    Unsupported,
 }
 
 /// A block allocator over a region of a device.
 ///
 /// The paper's OSD uses a buddy storage allocator (Knuth) at its lowest
-/// level; the trait exists so the ablation experiment (E6) can swap in a
-/// bump allocator without touching the OSD.
+/// level, [`BuddyAllocator`](crate::BuddyAllocator). Layers above hold it
+/// as an `Arc<dyn Allocator>`, so a probe or test can share one allocator
+/// between several B-trees without naming its type.
 pub trait Allocator: Send + Sync {
     /// Allocates at least `nblocks` contiguous blocks.
     ///
@@ -85,12 +81,7 @@ pub trait Allocator: Send + Sync {
     fn name(&self) -> &'static str;
 
     /// Captures the allocator's live state for a persistent checkpoint.
-    ///
-    /// The default reports [`AllocatorSnapshot::Unsupported`]; allocators
-    /// that can be rebuilt on open override it.
-    fn snapshot(&self) -> AllocatorSnapshot {
-        AllocatorSnapshot::Unsupported
-    }
+    fn snapshot(&self) -> AllocatorSnapshot;
 }
 
 impl<A: Allocator + ?Sized> Allocator for std::sync::Arc<A> {

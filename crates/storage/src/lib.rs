@@ -11,8 +11,8 @@
 //!   ([`device::MemDevice`]) and file-backed ([`device::FileDevice`])
 //!   implementations, plus physical operation counters used by the
 //!   experiments.
-//! * [`alloc`], [`buddy`], [`bump`] — the allocator abstraction, the
-//!   paper's buddy allocator and a bump allocator used for ablation.
+//! * [`alloc`], [`buddy`] — the allocator abstraction and the paper's
+//!   buddy allocator.
 //! * [`extent`] — contiguous block runs handed out by allocators and stored
 //!   in object extent maps.
 //! * [`cache`] — a lock-striped write-back block cache with O(1) CLOCK
@@ -50,7 +50,6 @@
 pub mod alloc;
 pub mod background;
 pub mod buddy;
-pub mod bump;
 pub mod cache;
 pub mod device;
 pub mod doublewrite;
@@ -67,7 +66,6 @@ pub mod shard;
 pub use alloc::{AllocStats, Allocator, AllocatorSnapshot};
 pub use background::{BackgroundExecutor, SubmitError};
 pub use buddy::BuddyAllocator;
-pub use bump::BumpAllocator;
 pub use cache::{CacheStats, CachedDevice, PrefetchSink};
 pub use device::{
     BlockDevice, DeviceCounters, FaultConfig, FaultDevice, FileDevice, MemDevice, OpFault,

@@ -7,7 +7,7 @@
 //! table, the B+tree's decoded-node cache — and they must all agree on how
 //! a requested shard count resolves and how a 64-bit key routes to a
 //! shard, so that ablation experiments sweep one convention, not three.
-//! This module is that single convention; `hfad_osd::shard` re-exports it.
+//! This module is that single convention.
 
 /// Upper bound on the number of shards any striped structure will create.
 ///

@@ -1,13 +1,11 @@
 //! Property-based tests for the storage substrate.
 
-use std::collections::HashSet;
 use std::sync::Arc;
 
 use proptest::prelude::*;
 
 use hfad_storage::{
-    Allocator, BlockDevice, BuddyAllocator, BumpAllocator, CachedDevice, Extent, MemDevice,
-    Superblock,
+    Allocator, BlockDevice, BuddyAllocator, CachedDevice, Extent, MemDevice, Superblock,
 };
 
 proptest! {
@@ -112,27 +110,6 @@ proptest! {
             }
             let s = alloc.stats();
             prop_assert_eq!(s.free_blocks + s.allocated_blocks, total);
-        }
-    }
-
-    /// Bump allocations are disjoint and strictly increasing.
-    #[test]
-    fn bump_monotonic_disjoint(sizes in prop::collection::vec(1u64..32, 1..50)) {
-        let alloc = BumpAllocator::new(5, 4096);
-        let mut seen = HashSet::new();
-        let mut last_end = 5u64;
-        for size in sizes {
-            match alloc.allocate(size) {
-                Ok(e) => {
-                    prop_assert_eq!(e.start, last_end);
-                    prop_assert_eq!(e.len, size);
-                    for b in e.start..e.end() {
-                        prop_assert!(seen.insert(b));
-                    }
-                    last_end = e.end();
-                }
-                Err(_) => break,
-            }
         }
     }
 

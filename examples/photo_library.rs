@@ -17,7 +17,7 @@ use hfad::workload::photo_library;
 use hfad::{Tag, TagValue};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let fs = Hfad::in_memory(256 * 1024 * 1024, HfadConfig::eager())?;
+    let fs = Hfad::in_memory(256 * 1024 * 1024, HfadConfig::default())?;
 
     // A plug-in index for image dimensions — an "arbitrary index type" the
     // built-in key/value and full-text stores do not cover.
@@ -39,6 +39,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         fs.create_with_content(&tags, photo.text.as_bytes())?;
         imported += 1;
     }
+    // Captions are indexed by background jobs; let them finish so the
+    // posting count below is complete.
+    fs.sync_index();
     println!("imported {imported} photos");
 
     // Who is in it? Where was it taken? When?

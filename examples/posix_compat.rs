@@ -15,7 +15,7 @@ use hfad::posix::PosixFs;
 use hfad::TagValue;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let hfad = Arc::new(Hfad::in_memory(64 * 1024 * 1024, HfadConfig::eager())?);
+    let hfad = Arc::new(Hfad::in_memory(64 * 1024 * 1024, HfadConfig::default())?);
     let fs = PosixFs::new(Arc::clone(&hfad))?;
 
     // A perfectly ordinary POSIX session.
@@ -65,6 +65,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let notes = fs.stat("/home/margo/work/hfad/notes.txt")?.oid;
     hfad.add_tags(notes, &[TagValue::udef("position-paper")])?;
     hfad.index_content(notes, &hfad.read_all(notes)?)?;
+    hfad.sync_index(); // indexing runs in the background
     println!(
         "lookup UDEF/position-paper -> {:?}",
         hfad.lookup(&[TagValue::udef("position-paper")])?

@@ -10,9 +10,9 @@ use hfad::core::{Hfad, HfadConfig};
 use hfad::TagValue;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    // 64 MiB in-memory file system; eager indexing so results are visible
-    // immediately (the default is lazy background indexing).
-    let fs = Hfad::in_memory(64 * 1024 * 1024, HfadConfig::eager())?;
+    // 64 MiB in-memory file system. Content is indexed lazily, by
+    // background jobs (§3.4).
+    let fs = Hfad::in_memory(64 * 1024 * 1024, HfadConfig::default())?;
 
     // Store a document. The POSIX path is just one of its names.
     let report = fs.create_with_content(
@@ -43,7 +43,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("margo ∧ finance        -> {hits:?}");
     assert_eq!(hits, vec![report]);
 
-    // 2. Full-text search, Google-style.
+    // 2. Full-text search, Google-style, once the background indexer has
+    //    caught up.
+    fs.sync_index();
     let hits = fs.search_text(&["storage", "revenue"])?;
     println!("fulltext storage+revenue -> {hits:?}");
     assert_eq!(hits, vec![report]);

@@ -27,4 +27,4 @@ pub use hfad_storage as storage;
 pub use hfad_workload as workload;
 
 pub use hfad_core::{Hfad, HfadConfig, HfadError, ObjectId, Query, Tag, TagValue};
-pub use hfad_osd::{AllocatorKind, ObjectStore, StoreConfig, StoreStats};
+pub use hfad_osd::{ObjectStore, StoreConfig, StoreStats};

@@ -4,19 +4,22 @@
 
 use std::sync::Arc;
 
-use hfad::core::{AttributeIndex, Hfad, HfadConfig};
+use hfad::btree::TreeContext;
+use hfad::core::{AttributeIndex, Hfad, HfadConfig, INDEX_SHARDS};
 use hfad::hierfs::{HierConfig, HierFs, SearchIndex};
+use hfad::index::FullTextIndex;
 use hfad::posix::PosixFs;
+use hfad::storage::{BlockDevice, BuddyAllocator, MemDevice};
 use hfad::workload::{documents, mail_store, photo_library, CorpusConfig};
 use hfad::{Tag, TagValue};
 
-fn eager_fs(capacity_mb: u64) -> Hfad {
-    Hfad::in_memory(capacity_mb * 1024 * 1024, HfadConfig::eager()).unwrap()
+fn new_fs(capacity_mb: u64) -> Hfad {
+    Hfad::in_memory(capacity_mb * 1024 * 1024, HfadConfig::default()).unwrap()
 }
 
 #[test]
 fn full_stack_photo_workflow() {
-    let fs = eager_fs(128);
+    let fs = new_fs(128);
     let photos = photo_library(500, 3);
     let mut oids = Vec::new();
     for photo in &photos {
@@ -53,6 +56,8 @@ fn full_stack_photo_workflow() {
     assert_eq!(fs.object_count(), 500 - beach.len() as u64);
 }
 
+/// Lazy indexing through `Hfad` finds, term by term, exactly the objects
+/// that a `FullTextIndex` fed eagerly (inline, at the index layer) finds.
 #[test]
 fn lazy_and_eager_indexing_agree() {
     let docs = documents(&CorpusConfig {
@@ -60,29 +65,80 @@ fn lazy_and_eager_indexing_agree() {
         words_per_item: 20,
         ..Default::default()
     });
-    let eager = eager_fs(128);
-    let lazy = Hfad::in_memory(128 * 1024 * 1024, HfadConfig::default()).unwrap();
+    let device = Arc::new(MemDevice::with_capacity(128 * 1024 * 1024));
+    let allocator = Arc::new(BuddyAllocator::new(0, device.block_count()));
+    let inline = FullTextIndex::new(TreeContext::new(device, allocator), INDEX_SHARDS).unwrap();
+    let lazy = new_fs(128);
     for item in &docs {
-        eager
-            .create_with_content(&[TagValue::posix(item.path.clone())], &item.content())
+        let content = item.content();
+        let oid = lazy
+            .create_with_content(&[TagValue::posix(item.path.clone())], &content)
             .unwrap();
-        lazy.create_with_content(&[TagValue::posix(item.path.clone())], &item.content())
+        inline
+            .index_document(oid, &String::from_utf8_lossy(&content))
             .unwrap();
     }
     lazy.sync_index();
     for term in ["storage", "index", "cache", "network"] {
-        assert_eq!(
-            eager.search_text(&[term]).unwrap().len(),
-            lazy.search_text(&[term]).unwrap().len(),
-            "term {term}"
-        );
+        let expected = inline.query_all(&[term]).unwrap();
+        assert!(!expected.is_empty(), "term {term} occurs in the corpus");
+        assert_eq!(lazy.search_text(&[term]).unwrap(), expected, "term {term}");
     }
+}
+
+/// A ~400-term text: `marker` once, then 399 words shared by every text.
+fn long_text(marker: &str) -> String {
+    let mut words = vec![marker.to_string()];
+    words.extend((1..400).map(|w| format!("common{w}")));
+    words.join(" ")
+}
+
+/// `delete` and `reindex` drop postings while the object's own indexing
+/// job may still be queued on the engine; neither may let that job re-add
+/// them afterwards.
+#[test]
+fn delete_and_reindex_win_over_queued_lazy_indexing() {
+    let fs = new_fs(128);
+    let mut ghosts = 0;
+    for round in 0..200 {
+        let marker = format!("ghost{round}");
+        let oid = fs.create(&[]).unwrap();
+        fs.index_content(oid, long_text(&marker).as_bytes())
+            .unwrap();
+        fs.delete(oid).unwrap();
+        fs.sync_index();
+        if !fs.search_text(&[&marker]).unwrap().is_empty() {
+            ghosts += 1;
+        }
+    }
+    assert_eq!(ghosts, 0, "deleted objects still found, of 200");
+    assert!(fs.search_text(&["common1"]).unwrap().is_empty());
+
+    let mut stale = 0;
+    for round in 0..200 {
+        let (old, new) = (format!("stale{round}"), format!("fresh{round}"));
+        let oid = fs
+            .create_with_content(&[], long_text(&old).as_bytes())
+            .unwrap();
+        fs.truncate(oid, 0).unwrap();
+        fs.write(oid, 0, long_text(&new).as_bytes()).unwrap();
+        fs.reindex(oid).unwrap();
+        fs.sync_index();
+        if !fs.search_text(&[&old]).unwrap().is_empty() {
+            stale += 1;
+        }
+        assert_eq!(fs.search_text(&[&new]).unwrap(), vec![oid]);
+    }
+    assert_eq!(
+        stale, 0,
+        "reindexed objects still found by old terms, of 200"
+    );
 }
 
 #[test]
 fn posix_veneer_and_hierfs_agree_on_a_mail_corpus() {
     let mail = mail_store(300, 9);
-    let hfad = Arc::new(eager_fs(128));
+    let hfad = Arc::new(new_fs(128));
     let posix = PosixFs::new(hfad).unwrap();
     let hier = HierFs::in_memory(128 * 1024 * 1024, HierConfig::default()).unwrap();
 
@@ -134,8 +190,8 @@ fn search_results_match_between_hfad_and_baseline_search_index() {
         dir_depth: 2,
         ..Default::default()
     });
-    // hFAD with eager content indexing.
-    let fs = eager_fs(128);
+    // hFAD with lazy content indexing, synced before the queries.
+    let fs = new_fs(128);
     let mut path_of = std::collections::HashMap::new();
     for item in &docs {
         let oid = fs
@@ -154,6 +210,7 @@ fn search_results_match_between_hfad_and_baseline_search_index() {
         hier.write(&item.path, 0, &item.content()).unwrap();
         idx.index_file(&hier, &item.path).unwrap();
     }
+    fs.sync_index();
     // Both systems must find exactly the same set of documents.
     for query in [vec!["storage"], vec!["cache", "memory"], vec!["nosuchterm"]] {
         let mut hfad_paths: Vec<String> = fs
@@ -171,7 +228,7 @@ fn search_results_match_between_hfad_and_baseline_search_index() {
 
 #[test]
 fn byte_level_operations_survive_mixed_use() {
-    let fs = eager_fs(64);
+    let fs = new_fs(64);
     let oid = fs
         .create_with_content(&[TagValue::posix("/log")], b"0123456789")
         .unwrap();
@@ -187,7 +244,7 @@ fn byte_level_operations_survive_mixed_use() {
 
 #[test]
 fn plugin_index_composes_with_posix_veneer() {
-    let hfad = Arc::new(eager_fs(64));
+    let hfad = Arc::new(new_fs(64));
     hfad.register_index(Arc::new(AttributeIndex::new("IMAGE")));
     let posix = PosixFs::new(Arc::clone(&hfad)).unwrap();
     posix.mkdir_all("/photos").unwrap();
@@ -210,7 +267,7 @@ fn plugin_index_composes_with_posix_veneer() {
 
 #[test]
 fn concurrent_mixed_workload_is_consistent() {
-    let fs = Arc::new(eager_fs(256));
+    let fs = Arc::new(new_fs(256));
     let mut handles = Vec::new();
     for t in 0..4u64 {
         let fs = Arc::clone(&fs);
@@ -237,6 +294,7 @@ fn concurrent_mixed_workload_is_consistent() {
         h.join().unwrap();
     }
     assert_eq!(fs.object_count(), 4 * 45);
+    fs.sync_index();
     for t in 0..4u64 {
         assert_eq!(
             fs.lookup(&[TagValue::udef(format!("worker-{t}"))])

@@ -6,7 +6,7 @@ use hfad::{Hfad, HfadConfig, HfadError, ObjectId, Query, Tag, TagValue};
 
 #[test]
 fn umbrella_reexports_round_trip_a_tagged_object() {
-    let fs = Hfad::in_memory(64 * 1024 * 1024, HfadConfig::eager()).unwrap();
+    let fs = Hfad::in_memory(64 * 1024 * 1024, HfadConfig::default()).unwrap();
 
     let oid: ObjectId = fs
         .create_with_content(
@@ -24,6 +24,9 @@ fn umbrella_reexports_round_trip_a_tagged_object() {
         vec![oid]
     );
     assert_eq!(fs.lookup(&[TagValue::udef("finance")]).unwrap(), vec![oid]);
+
+    // Content is indexed in the background; wait for it before searching.
+    fs.sync_index();
 
     // The structured query API agrees with direct lookup.
     let query = Query::And(vec![
