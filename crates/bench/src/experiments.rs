@@ -490,18 +490,16 @@ pub fn e3_insert_truncate(scale: Scale) -> Table {
 // E4 — §3.2/§3.4 full-text index scaling and lazy indexing.
 // ---------------------------------------------------------------------
 
-/// A standalone full-text index shaped like the one [`Hfad`] builds
-/// (same shard count, a device the size of the hFAD fixtures).
-fn e4_fulltext_index() -> Arc<FullTextIndex> {
-    let device = Arc::new(MemDevice::with_capacity(crate::setup::DEFAULT_CAPACITY));
-    let allocator = Arc::new(hfad_storage::BuddyAllocator::new(0, device.block_count()));
-    Arc::new(
-        FullTextIndex::new(
-            hfad_btree::TreeContext::new(device, allocator),
-            INDEX_SHARDS,
-        )
-        .unwrap(),
-    )
+/// A standalone full-text index with `shards` shards over `device`, for
+/// the experiments that build indexing baselines at the index layer (E4,
+/// E10).
+fn standalone_fulltext(device: MemDevice, shards: usize) -> Arc<FullTextIndex> {
+    let device = Arc::new(device);
+    let allocator = Arc::new(hfad_storage::BuddyAllocator::new(
+        1,
+        device.block_count() - 1,
+    ));
+    Arc::new(FullTextIndex::new(hfad_btree::TreeContext::new(device, allocator), shards).unwrap())
 }
 
 /// E4: full-text query latency vs corpus size, and the indexing
@@ -513,6 +511,14 @@ pub fn e4_fulltext(scale: Scale) -> Table {
         Scale::Full => &[1_000, 5_000, 20_000],
     };
     let query_iters = scale.pick(100, 500);
+    // Shaped like the index `Hfad` builds: same shard count, a device the
+    // size of the hFAD fixtures.
+    let new_index = || {
+        standalone_fulltext(
+            MemDevice::with_capacity(crate::setup::DEFAULT_CAPACITY),
+            INDEX_SHARDS,
+        )
+    };
 
     let mut table = Table::new(
         "E4",
@@ -533,7 +539,7 @@ pub fn e4_fulltext(scale: Scale) -> Table {
             })
             .collect();
         // Eager baseline: index every document inline at the index layer.
-        let inline = e4_fulltext_index();
+        let inline = new_index();
         let (_, inline_elapsed) = time(|| {
             for (oid, text) in &texts {
                 inline.index_document(*oid, text).unwrap();
@@ -542,8 +548,7 @@ pub fn e4_fulltext(scale: Scale) -> Table {
         // Lazy: enqueue every document on the engine's Index class (as
         // `Hfad::index_content` does), then wait for the backlog to drain.
         let engine = Engine::new(Arc::new(MemDevice::new(64, 512)));
-        let lazy =
-            LazyIndexer::with_executor(e4_fulltext_index(), engine.executor(Priority::Index));
+        let lazy = LazyIndexer::with_executor(new_index(), engine.executor(Priority::Index));
         let (_, lazy_elapsed) = time(|| {
             for (oid, text) in &texts {
                 lazy.enqueue(*oid, text.clone()).unwrap();
@@ -1319,12 +1324,8 @@ fn e10_doc(i: usize) -> String {
 
 /// Full-text fixture with `seed_docs` documents pre-indexed so queries
 /// during ingest have hits from the start.
-fn e10_fulltext(seed_docs: usize) -> Arc<hfad_index::FullTextIndex> {
-    let device = Arc::new(MemDevice::new(65536, 512));
-    let allocator = Arc::new(hfad_storage::BuddyAllocator::new(1, 65535));
-    let index = Arc::new(
-        hfad_index::FullTextIndex::new(hfad_btree::TreeContext::new(device, allocator), 4).unwrap(),
-    );
+fn e10_fulltext(seed_docs: usize) -> Arc<FullTextIndex> {
+    let index = standalone_fulltext(MemDevice::new(65536, 512), 4);
     for i in 0..seed_docs {
         index
             .index_document(hfad_osd::ObjectId(i as u64), &e10_doc(i))

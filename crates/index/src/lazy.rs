@@ -41,40 +41,68 @@ pub struct LazyStats {
     pub rejected: u64,
 }
 
-/// Items submitted but not yet processed, counted per object, and the
-/// condvar `drain` and `wait_for` wait on for counts to reach zero. An
-/// object with nothing pending has no entry.
+/// Items submitted but not yet processed, counted per object. An object
+/// with nothing pending has no entry.
+///
+/// `drain` waits on `empty`, which is signalled only when the last pending
+/// item finishes. `wait_for` callers register in `waiters` and wait on
+/// `object_idle`, which is signalled when an object's count reaches zero
+/// while someone waits; with no waiter, finishing an item wakes no one.
 #[derive(Default)]
 struct Pending {
-    counts: Mutex<HashMap<ObjectId, u64>>,
-    idle: Condvar,
+    state: Mutex<PendingState>,
+    empty: Condvar,
+    object_idle: Condvar,
+}
+
+#[derive(Default)]
+struct PendingState {
+    counts: HashMap<ObjectId, u64>,
+    waiters: usize,
 }
 
 impl Pending {
-    fn lock(&self) -> MutexGuard<'_, HashMap<ObjectId, u64>> {
-        self.counts
+    fn lock(&self) -> MutexGuard<'_, PendingState> {
+        self.state
             .lock()
             .expect("no thread panics while holding the pending counts")
     }
 
     fn add(&self, oid: ObjectId) {
-        *self.lock().entry(oid).or_default() += 1;
+        *self.lock().counts.entry(oid).or_default() += 1;
     }
 
     fn done(&self, oid: ObjectId) {
-        let mut counts = self.lock();
-        let count = counts.get_mut(&oid).expect("a done item was added");
+        let mut state = self.lock();
+        let count = state.counts.get_mut(&oid).expect("a done item was added");
         *count -= 1;
         if *count == 0 {
-            counts.remove(&oid);
-            self.idle.notify_all();
+            state.counts.remove(&oid);
+            if state.counts.is_empty() {
+                self.empty.notify_all();
+            }
+            if state.waiters > 0 {
+                self.object_idle.notify_all();
+            }
         }
     }
 
-    /// Blocks until `busy` no longer holds for the counts.
-    fn wait_while(&self, busy: impl FnMut(&mut HashMap<ObjectId, u64>) -> bool) {
-        let idle = self.idle.wait_while(self.lock(), busy);
-        drop(idle.expect("no thread panics while holding the pending counts"));
+    fn wait_until_empty(&self) {
+        let state = self.empty.wait_while(self.lock(), |s| !s.counts.is_empty());
+        drop(state.expect("no thread panics while holding the pending counts"));
+    }
+
+    fn wait_until_idle(&self, oid: ObjectId) {
+        let mut state = self.lock();
+        if !state.counts.contains_key(&oid) {
+            return;
+        }
+        state.waiters += 1;
+        let mut state = self
+            .object_idle
+            .wait_while(state, |s| s.counts.contains_key(&oid))
+            .expect("no thread panics while holding the pending counts");
+        state.waiters -= 1;
     }
 }
 
@@ -153,18 +181,18 @@ impl LazyIndexer {
 
     /// Number of items submitted but not yet processed.
     pub fn backlog(&self) -> u64 {
-        self.pending.lock().values().sum()
+        self.pending.lock().counts.values().sum()
     }
 
     /// Blocks until every item enqueued so far has been processed.
     pub fn drain(&self) {
-        self.pending.wait_while(|counts| !counts.is_empty());
+        self.pending.wait_until_empty();
     }
 
     /// Blocks until no item for `oid` is pending, so postings removed after
     /// this returns stay removed (unless `oid` is enqueued again).
     pub fn wait_for(&self, oid: ObjectId) {
-        self.pending.wait_while(|counts| counts.contains_key(&oid));
+        self.pending.wait_until_idle(oid);
     }
 
     /// Progress counters.
@@ -269,6 +297,12 @@ mod tests {
                 job();
             }
         }
+
+        /// Runs the oldest held job.
+        fn release_one(&self) {
+            let job = self.jobs.lock().remove(0);
+            job();
+        }
     }
 
     #[test]
@@ -294,6 +328,34 @@ mod tests {
         assert!(!waiter.is_finished(), "two items for object 1 are held");
         executor.release();
         assert_eq!(waiter.join().unwrap(), vec![ObjectId(1)]);
+        assert_eq!(indexer.backlog(), 0);
+    }
+
+    #[test]
+    fn wait_for_wakes_on_its_object_and_drain_on_the_last_item() {
+        let executor = Arc::new(HeldExecutor::default());
+        let indexer = Arc::new(LazyIndexer::with_executor(
+            fulltext(),
+            Arc::clone(&executor) as Arc<dyn BackgroundExecutor>,
+        ));
+        indexer.enqueue(ObjectId(1), "first object").unwrap();
+        indexer.enqueue(ObjectId(2), "second object").unwrap();
+        let spawn = |f: fn(&LazyIndexer)| {
+            let indexer = Arc::clone(&indexer);
+            std::thread::spawn(move || f(&indexer))
+        };
+        let waiter = spawn(|indexer| indexer.wait_for(ObjectId(1)));
+        let drainer = spawn(LazyIndexer::drain);
+        std::thread::sleep(std::time::Duration::from_millis(50));
+        assert!(!waiter.is_finished() && !drainer.is_finished());
+        // Object 1 finishes while object 2 is still held: the waiter
+        // returns, the drainer keeps waiting.
+        executor.release_one();
+        waiter.join().unwrap();
+        std::thread::sleep(std::time::Duration::from_millis(50));
+        assert!(!drainer.is_finished(), "object 2 is still pending");
+        executor.release_one();
+        drainer.join().unwrap();
         assert_eq!(indexer.backlog(), 0);
     }
 

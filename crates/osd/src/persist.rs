@@ -51,9 +51,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use hfad_storage::{
-    fnv1a, Allocator, AllocatorSnapshot, BlockDevice, BuddyAllocator, CachedDevice, Doublewrite,
-    FileDevice, GroupCommitConfig, Journal, LockMode, ProcLock, RecordKind, Superblock,
-    DEFAULT_BLOCK_SIZE,
+    fnv1a, Allocator, BlockDevice, BuddyAllocator, CachedDevice, Doublewrite, FileDevice,
+    GroupCommitConfig, Journal, LockMode, ProcLock, RecordKind, Superblock, DEFAULT_BLOCK_SIZE,
 };
 
 use crate::error::{OsdError, Result};
@@ -73,6 +72,11 @@ pub const META_SLOT_BLOCKS: u64 = 32;
 
 /// Magic number leading an encoded [`StoreMeta`].
 pub const META_MAGIC: u64 = 0x6866_6164_5f6d_6574; // "hfad_met"
+
+/// Tag byte in front of the allocator section of a metadata slot: buddy
+/// chunks. Tags 1 and 2 belonged to retired allocator kinds and now
+/// decode as corruption.
+const BUDDY_CHUNKS_TAG: u8 = 0;
 
 /// Sizes the doublewrite region for a device: an eighth of the device,
 /// clamped to `[128, 2048]` blocks.
@@ -96,8 +100,9 @@ pub struct StoreMeta {
     /// Floor for object ids issued after reopen (the oid allocator's
     /// range head).
     pub next_oid: u64,
-    /// Data-area allocator state.
-    pub alloc: AllocatorSnapshot,
+    /// Data-area allocator state: the buddy allocator's live
+    /// `(start_block, order)` chunks.
+    pub alloc: Vec<(u64, u32)>,
     /// Per-shard object table state: `(root_page, live_objects)`.
     pub shards: Vec<(u64, u64)>,
 }
@@ -116,15 +121,11 @@ impl StoreMeta {
             out.extend_from_slice(&root.to_le_bytes());
             out.extend_from_slice(&live.to_le_bytes());
         }
-        match &self.alloc {
-            AllocatorSnapshot::Buddy(chunks) => {
-                out.push(0);
-                out.extend_from_slice(&(chunks.len() as u64).to_le_bytes());
-                for &(offset, order) in chunks {
-                    out.extend_from_slice(&offset.to_le_bytes());
-                    out.extend_from_slice(&order.to_le_bytes());
-                }
-            }
+        out.push(BUDDY_CHUNKS_TAG);
+        out.extend_from_slice(&(self.alloc.len() as u64).to_le_bytes());
+        for &(offset, order) in &self.alloc {
+            out.extend_from_slice(&offset.to_le_bytes());
+            out.extend_from_slice(&order.to_le_bytes());
         }
         let crc = fnv1a(&out);
         out.extend_from_slice(&crc.to_le_bytes());
@@ -168,28 +169,23 @@ impl StoreMeta {
             .get(pos)
             .ok_or_else(|| OsdError::Corrupt("store metadata truncated".into()))?;
         pos += 1;
-        let alloc = match kind {
-            0 => {
-                let count = take_u64(buf, &mut pos)? as usize;
-                let mut chunks = Vec::with_capacity(count.min(1 << 20));
-                for _ in 0..count {
-                    let offset = take_u64(buf, &mut pos)?;
-                    let order_end = pos
-                        .checked_add(4)
-                        .filter(|&e| e <= buf.len())
-                        .ok_or_else(|| OsdError::Corrupt("store metadata truncated".into()))?;
-                    let order = u32::from_le_bytes(buf[pos..order_end].try_into().expect("u32"));
-                    pos = order_end;
-                    chunks.push((offset, order));
-                }
-                AllocatorSnapshot::Buddy(chunks)
-            }
-            other => {
-                return Err(OsdError::Corrupt(format!(
-                    "unknown allocator snapshot kind {other}"
-                )))
-            }
-        };
+        if kind != BUDDY_CHUNKS_TAG {
+            return Err(OsdError::Corrupt(format!(
+                "unknown allocator snapshot kind {kind}"
+            )));
+        }
+        let count = take_u64(buf, &mut pos)? as usize;
+        let mut alloc = Vec::with_capacity(count.min(1 << 20));
+        for _ in 0..count {
+            let offset = take_u64(buf, &mut pos)?;
+            let order_end = pos
+                .checked_add(4)
+                .filter(|&e| e <= buf.len())
+                .ok_or_else(|| OsdError::Corrupt("store metadata truncated".into()))?;
+            let order = u32::from_le_bytes(buf[pos..order_end].try_into().expect("u32"));
+            pos = order_end;
+            alloc.push((offset, order));
+        }
         let stored_crc = take_u64(buf, &mut pos)?;
         if fnv1a(&buf[..pos - 8]) != stored_crc {
             return Err(OsdError::Corrupt("store metadata checksum mismatch".into()));
@@ -335,8 +331,7 @@ fn resolve_geometry(config: &StoreConfig) -> PersistGeometry {
     }
 }
 
-fn restore_allocator(sb: &Superblock, snapshot: &AllocatorSnapshot) -> Result<Arc<dyn Allocator>> {
-    let AllocatorSnapshot::Buddy(chunks) = snapshot;
+fn restore_allocator(sb: &Superblock, chunks: &[(u64, u32)]) -> Result<Arc<dyn Allocator>> {
     Ok(Arc::new(BuddyAllocator::restore(
         sb.data_start,
         sb.data_blocks,
@@ -547,7 +542,7 @@ mod tests {
             replay_floor: 1234,
             next_txn: 99,
             next_oid: 4096,
-            alloc: AllocatorSnapshot::Buddy(vec![(100, 3), (200, 0), (512, 7)]),
+            alloc: vec![(100, 3), (200, 0), (512, 7)],
             shards: vec![(10, 2), (20, 0), (30, 5), (40, 1)],
         }
     }
@@ -556,7 +551,7 @@ mod tests {
     /// (tag byte and payload) under a valid checksum.
     fn encode_with_alloc_section(meta: &StoreMeta, section: &[u8]) -> Vec<u8> {
         let mut bytes = StoreMeta {
-            alloc: AllocatorSnapshot::Buddy(Vec::new()),
+            alloc: Vec::new(),
             ..meta.clone()
         }
         .encode();
@@ -583,7 +578,7 @@ mod tests {
         let mut bytes = meta.encode();
         // Buddy chunks keep tag 0, so stores written before the other
         // kinds were retired still decode.
-        assert_eq!(bytes[8 * 6 + 16 * meta.shards.len()], 0);
+        assert_eq!(bytes[8 * 6 + 16 * meta.shards.len()], BUDDY_CHUNKS_TAG);
         // Block-aligned padding must not confuse decode.
         bytes.resize(bytes.len() + 100, 0);
         assert_eq!(StoreMeta::decode(&bytes).unwrap(), meta);

@@ -43,17 +43,6 @@ impl AllocStats {
     }
 }
 
-/// A serializable snapshot of an allocator's live state, captured at a
-/// persistent checkpoint and replayed on open to rebuild the allocator
-/// without a device scan.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum AllocatorSnapshot {
-    /// Live extents of a [`BuddyAllocator`](crate::BuddyAllocator):
-    /// `(start_block, order)` pairs from
-    /// [`allocated_snapshot`](crate::BuddyAllocator::allocated_snapshot).
-    Buddy(Vec<(u64, u32)>),
-}
-
 /// A block allocator over a region of a device.
 ///
 /// The paper's OSD uses a buddy storage allocator (Knuth) at its lowest
@@ -80,8 +69,12 @@ pub trait Allocator: Send + Sync {
     /// Human-readable allocator name used in experiment output.
     fn name(&self) -> &'static str;
 
-    /// Captures the allocator's live state for a persistent checkpoint.
-    fn snapshot(&self) -> AllocatorSnapshot;
+    /// Captures the allocator's live extents as `(start_block, order)`
+    /// pairs, the form
+    /// [`BuddyAllocator::allocated_snapshot`](crate::BuddyAllocator::allocated_snapshot)
+    /// returns, for a persistent checkpoint to store and replay on open
+    /// without a device scan.
+    fn snapshot(&self) -> Vec<(u64, u32)>;
 }
 
 impl<A: Allocator + ?Sized> Allocator for std::sync::Arc<A> {
@@ -97,7 +90,7 @@ impl<A: Allocator + ?Sized> Allocator for std::sync::Arc<A> {
     fn name(&self) -> &'static str {
         (**self).name()
     }
-    fn snapshot(&self) -> AllocatorSnapshot {
+    fn snapshot(&self) -> Vec<(u64, u32)> {
         (**self).snapshot()
     }
 }

@@ -263,8 +263,8 @@ impl Allocator for BuddyAllocator {
         "buddy"
     }
 
-    fn snapshot(&self) -> crate::alloc::AllocatorSnapshot {
-        crate::alloc::AllocatorSnapshot::Buddy(self.allocated_snapshot())
+    fn snapshot(&self) -> Vec<(u64, u32)> {
+        self.allocated_snapshot()
     }
 }
 

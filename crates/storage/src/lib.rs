@@ -63,7 +63,7 @@ pub mod proclock;
 pub mod retry;
 pub mod shard;
 
-pub use alloc::{AllocStats, Allocator, AllocatorSnapshot};
+pub use alloc::{AllocStats, Allocator};
 pub use background::{BackgroundExecutor, SubmitError};
 pub use buddy::BuddyAllocator;
 pub use cache::{CacheStats, CachedDevice, PrefetchSink};
